@@ -40,14 +40,11 @@ from .data import (
 from .decoding import SpanPrediction, decode_bio, decode_span, predict_polarity
 from .metrics import EvalReport, acc_macro_f1, chunk_f1, em_f1, normalize_answer, squad_eval
 from .model import (
-    EncoderOutput,
     ModelConfig,
     ModelParameters,
     class_logits,
-    forward,
+    encode_batch,
     init_parameters,
-    mlm_logits,
-    pair_logits,
     preset_config,
     span_logits,
     tag_logits,

@@ -39,7 +39,12 @@ class Checkpoint:
     def restore(self) -> ModelParameters:
         from .model import init_parameters
 
-        params = init_parameters(self.config, seed=self.seed, dtype=next(iter(self.blobs.values())).dtype)
+        dtype = next(iter(self.blobs.values())).dtype if self.blobs else np.float32
+        params = init_parameters(self.config, seed=self.seed, dtype=dtype)
+        missing = sorted(set(params.tensors) - set(self.blobs))
+        extra = sorted(set(self.blobs) - set(params.tensors))
+        if missing or extra:
+            raise CheckpointError(f"blob names do not match the model: missing {missing}, unexpected {extra}")
         params.load_data(self.blobs)
         return params
 

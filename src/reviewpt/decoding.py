@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .data import POLARITIES
+from .data import POLARITIES, gold_chunks
 from .tokenizer import PackedInput
 
 
@@ -48,11 +48,11 @@ def decode_span(l1, l2, packed: PackedInput) -> SpanPrediction:
 
 
 def decode_bio(l3, packed: PackedInput, word_map: list[int] | None = None) -> list[tuple[int, int]]:
-    """Word-level aspect chunks from per-position B/I/O distributions.
+    """Word-level aspect chunks from per-position B/I/O scores.
 
-    ``l3`` is [3, |x|].  Each word takes the argmax label of its FIRST
-    subword token; a chunk is one B followed by zero or more Is, and a
-    stray leading I opens a new chunk.
+    ``l3`` is [|x|, 3], as :func:`reviewpt.model.tag_logits` returns one
+    row.  Each word takes the argmax label of its FIRST subword token; the
+    labels are chunked by :func:`reviewpt.data.gold_chunks`.
     """
     l3 = _as_array(l3)
     if word_map is None:
@@ -62,24 +62,7 @@ def decode_bio(l3, packed: PackedInput, word_map: list[int] | None = None) -> li
             if w_idx not in seen:
                 seen.add(w_idx)
                 word_map.append(packed.doc_start + t_idx)
-    labels = ["BIO"[int(np.argmax(l3[:, pos]))] for pos in word_map]
-    chunks: list[tuple[int, int]] = []
-    start = None
-    for i, lab in enumerate(labels):
-        if lab == "B":
-            if start is not None:
-                chunks.append((start, i - 1))
-            start = i
-        elif lab == "I":
-            if start is None:
-                start = i
-        else:
-            if start is not None:
-                chunks.append((start, i - 1))
-                start = None
-    if start is not None:
-        chunks.append((start, len(labels) - 1))
-    return chunks
+    return gold_chunks(["BIO"[int(np.argmax(l3[pos]))] for pos in word_map])
 
 
 def predict_polarity(l4) -> str:

@@ -2,12 +2,13 @@
 
 The encoder sums token/position/segment embeddings and applies
 ``num_layers`` blocks of multi-head self-attention (with a padding mask)
-and a gelu feedforward, each followed by add&norm.  Heads read the final
-hidden states only and never mutate parameters.
+and a gelu feedforward, each followed by add&norm.
 
-Single-example calls return an :class:`EncoderOutput` whose ``h`` is laid
-out hidden-by-position (``r_h x |x|``); batched training paths work on
-``[B, L, H]`` internally and share the same parameter tensors.
+There is one layout: :func:`encode_batch` returns hidden states
+``[B, L, H]`` (batch, position, hidden), and every head reads them and
+returns one row per example.  Training runs batches of many examples and
+inference runs batches of one through the same heads.  Heads never mutate
+parameters.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .tokenizer import PackedInput
 
 
 @dataclass
@@ -148,13 +148,6 @@ def init_parameters(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Mod
     return ModelParameters(t, config)
 
 
-@dataclass
-class EncoderOutput:
-    h: Tensor  # [r_h, |x|]
-    h_cls: Tensor  # [r_h]
-    packed: PackedInput
-
-
 def encode_batch(
     params: ModelParameters,
     config: ModelConfig,
@@ -214,116 +207,58 @@ def encode_batch(
     return x
 
 
-def forward(
-    params: ModelParameters,
-    config: ModelConfig,
-    packed: PackedInput,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> EncoderOutput:
-    """Encode one packed input; ``h`` comes back hidden-by-position."""
-    hidden = encode_batch(
-        params,
-        config,
-        packed.ids[None, :],
-        packed.segments[None, :],
-        packed.pad_mask[None, :],
-        train_mode=train_mode,
-        rng=rng,
-    )
-    h = ag.transpose(ag.take(hidden, 0), (1, 0))  # [H, L]
-    h_cls = ag.take(h, (slice(None), 0))  # [H]
-    return EncoderOutput(h=h, h_cls=h_cls, packed=packed)
+# -- heads ---------------------------------------------------------------------
 
 
-# -- per-example heads -------------------------------------------------------
-
-
-def _mask_term(valid_mask: np.ndarray, dtype) -> np.ndarray:
-    return np.where(np.asarray(valid_mask, dtype=bool), 0.0, ag.MASK_FILL).astype(dtype)
-
-
-def span_logits(params: ModelParameters, out: EncoderOutput, valid_mask) -> tuple[Tensor, Tensor]:
-    """Start/end pointer distributions over the sequence, invalid positions ~0."""
+def span_logits(params: ModelParameters, hidden: Tensor, valid_mask) -> tuple[Tensor, Tensor]:
+    """Start/end pointer logits [B, L]; positions outside ``valid_mask`` get ``MASK_FILL``."""
     valid_mask = np.asarray(valid_mask, dtype=bool)
-    if not valid_mask.any():
+    if not valid_mask.any(axis=-1).all():
         raise ValueError("empty valid region")
     t = params.tensors
-    bias = _mask_term(valid_mask, out.h.dtype)
-    l1 = ag.reshape(ag.add(ag.add(ag.matmul(t["span.w1"], out.h), ag.reshape(t["span.b1"], (1, 1))), bias), (-1,))
-    l2 = ag.reshape(ag.add(ag.add(ag.matmul(t["span.w2"], out.h), ag.reshape(t["span.b2"], (1, 1))), bias), (-1,))
-    return ag.softmax_rows(l1, axis=-1), ag.softmax_rows(l2, axis=-1)
-
-
-def tag_logits(params: ModelParameters, out: EncoderOutput) -> Tensor:
-    """Per-position B/I/O distribution, shape [3, |x|]; softmax over labels."""
-    t = params.tensors
-    logits = ag.add(ag.matmul(t["tag.w"], out.h), ag.reshape(t["tag.b"], (3, 1)))
-    return ag.softmax_rows(logits, axis=0)
-
-
-def class_logits(params: ModelParameters, out: EncoderOutput) -> Tensor:
-    """Polarity distribution over {positive, negative, neutral} from [CLS]."""
-    t = params.tensors
-    cls_col = ag.reshape(out.h_cls, (-1, 1))
-    logits = ag.reshape(ag.add(ag.matmul(t["cls.w"], cls_col), ag.reshape(t["cls.b"], (3, 1))), (-1,))
-    return ag.softmax_rows(logits, axis=-1)
-
-
-def pair_logits(params: ModelParameters, out: EncoderOutput) -> Tensor:
-    """Two-way same-review / cross-review distribution from [CLS]."""
-    t = params.tensors
-    cls_col = ag.reshape(out.h_cls, (-1, 1))
-    logits = ag.reshape(ag.add(ag.matmul(t["pair.w"], cls_col), ag.reshape(t["pair.b"], (2, 1))), (-1,))
-    return ag.softmax_rows(logits, axis=-1)
-
-
-def mlm_logits(params: ModelParameters, out: EncoderOutput, masked_positions) -> Tensor:
-    """Vocabulary distributions at the masked positions only, [|masked|, V]."""
-    positions = np.asarray(masked_positions, dtype=np.int64)
-    if positions.size == 0:
-        return Tensor(np.zeros((0, params.config.vocab_size), dtype=out.h.dtype))
-    t = params.tensors
-    cols = ag.take(out.h, (slice(None), positions))  # [H, M]
-    logits = ag.add(ag.matmul(params.mlm_table(), cols), ag.reshape(t["mlm.bias"], (-1, 1)))
-    return ag.softmax_rows(ag.transpose(logits, (1, 0)), axis=-1)
-
-
-# -- batched heads (training paths) ------------------------------------------
+    bias = np.where(valid_mask, 0.0, ag.MASK_FILL).astype(hidden.dtype)
+    l1 = ag.add(ag.reshape(ag.matmul(hidden, ag.transpose(t["span.w1"], (1, 0))), hidden.shape[:2]), t["span.b1"])
+    l2 = ag.add(ag.reshape(ag.matmul(hidden, ag.transpose(t["span.w2"], (1, 0))), hidden.shape[:2]), t["span.b2"])
+    return ag.add(l1, bias), ag.add(l2, bias)
 
 
 def span_probs_batch(params: ModelParameters, hidden: Tensor, valid_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Batched start/end distributions [B, L] with invalid positions masked."""
+    """Start/end pointer distributions [B, L]; invalid positions get ~0."""
+    l1, l2 = span_logits(params, hidden, valid_mask)
+    return ag.softmax_rows(l1, axis=-1), ag.softmax_rows(l2, axis=-1)
+
+
+def tag_logits(params: ModelParameters, hidden: Tensor) -> Tensor:
+    """Per-position B/I/O logits [B, L, 3]."""
     t = params.tensors
-    bias = _mask_term(valid_mask, hidden.dtype)
-    l1 = ag.add(ag.reshape(ag.matmul(hidden, ag.transpose(t["span.w1"], (1, 0))), hidden.shape[:2]), t["span.b1"])
-    l2 = ag.add(ag.reshape(ag.matmul(hidden, ag.transpose(t["span.w2"], (1, 0))), hidden.shape[:2]), t["span.b2"])
-    return (
-        ag.softmax_rows(ag.add(l1, bias), axis=-1),
-        ag.softmax_rows(ag.add(l2, bias), axis=-1),
-    )
+    return ag.add(ag.matmul(hidden, ag.transpose(t["tag.w"], (1, 0))), t["tag.b"])
+
+
+def tag_probs_batch(params: ModelParameters, hidden: Tensor) -> Tensor:
+    """Per-position B/I/O distributions [B, L, 3]."""
+    return ag.softmax_rows(tag_logits(params, hidden), axis=-1)
 
 
 def cls_hidden_batch(hidden: Tensor) -> Tensor:
     return ag.take(hidden, (slice(None), 0))  # [B, H]
 
 
-def pair_probs_batch(params: ModelParameters, hidden: Tensor) -> Tensor:
+def class_logits(params: ModelParameters, hidden: Tensor) -> Tensor:
+    """Polarity logits [B, 3] over {positive, negative, neutral} from [CLS]."""
     t = params.tensors
-    logits = ag.add(ag.matmul(cls_hidden_batch(hidden), ag.transpose(t["pair.w"], (1, 0))), t["pair.b"])
-    return ag.softmax_rows(logits, axis=-1)
+    return ag.add(ag.matmul(cls_hidden_batch(hidden), ag.transpose(t["cls.w"], (1, 0))), t["cls.b"])
 
 
 def class_probs_batch(params: ModelParameters, hidden: Tensor) -> Tensor:
+    """Polarity distributions [B, 3]."""
+    return ag.softmax_rows(class_logits(params, hidden), axis=-1)
+
+
+def pair_probs_batch(params: ModelParameters, hidden: Tensor) -> Tensor:
+    """Same-review / cross-review distributions [B, 2] from [CLS]."""
     t = params.tensors
-    logits = ag.add(ag.matmul(cls_hidden_batch(hidden), ag.transpose(t["cls.w"], (1, 0))), t["cls.b"])
+    logits = ag.add(ag.matmul(cls_hidden_batch(hidden), ag.transpose(t["pair.w"], (1, 0))), t["pair.b"])
     return ag.softmax_rows(logits, axis=-1)
-
-
-def tag_probs_batch(params: ModelParameters, hidden: Tensor) -> Tensor:
-    t = params.tensors
-    logits = ag.add(ag.matmul(hidden, ag.transpose(t["tag.w"], (1, 0))), t["tag.b"])
-    return ag.softmax_rows(logits, axis=-1)  # [B, L, 3]
 
 
 def mlm_probs_flat(params: ModelParameters, hidden: Tensor, flat_positions: np.ndarray) -> Tensor:

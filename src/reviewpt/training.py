@@ -49,7 +49,6 @@ class PostTrainConfig:
     warmup_steps: int = 0
     clip_norm: float = 0.0
     checkpoint_every: int = 0
-    loss_scale: float = 2.0  # kept for config fidelity; inert at full precision
 
     def __post_init__(self):
         if self.total_steps < 1:
@@ -81,11 +80,17 @@ class FineTuneConfig:
             self.selection_metric = {"rrc": "f1", "ae": "f1", "asc": "macro_f1"}[self.task]
 
 
-def _stack(packs):
+def _encode(
+    params: ModelParameters,
+    packs,
+    train_mode: bool = False,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Hidden states [B, L, H] of equal-length packed inputs."""
     ids = np.stack([p.ids for p in packs])
     segs = np.stack([p.segments for p in packs])
     mask = np.stack([p.pad_mask for p in packs])
-    return ids, segs, mask
+    return M.encode_batch(params, params.config, ids, segs, mask, train_mode=train_mode, rng=rng)
 
 
 # -- losses -----------------------------------------------------------------
@@ -99,10 +104,8 @@ def _dk_parts(
     mlm_denom: float | None = None,
 ) -> tuple[Tensor | None, Tensor, int]:
     """(masked-token loss or None, pair loss, masked count) for one batch."""
-    config = params.config
-    ids, segs, mask = _stack([ex.packed for ex in batch])
-    hidden = M.encode_batch(params, config, ids, segs, mask, train_mode=train_mode, rng=rng)
-    length = ids.shape[1]
+    hidden = _encode(params, [ex.packed for ex in batch], train_mode=train_mode, rng=rng)
+    length = hidden.shape[1]
     flat_pos: list[int] = []
     flat_orig: list[int] = []
     for b, ex in enumerate(batch):
@@ -148,9 +151,7 @@ def mrc_loss(
     for ex in batch:
         if ex.packed is None or ex.start_token < 0:
             raise ValueError(f"example {ex.id} is not encoded")
-    config = params.config
-    ids, segs, mask = _stack([ex.packed for ex in batch])
-    hidden = M.encode_batch(params, config, ids, segs, mask, train_mode=train_mode, rng=rng)
+    hidden = _encode(params, [ex.packed for ex in batch], train_mode=train_mode, rng=rng)
     valid = np.stack([span_valid_mask(ex.packed) for ex in batch])
     l1, l2 = M.span_probs_batch(params, hidden, valid)
     starts = np.array([ex.start_token for ex in batch])
@@ -167,11 +168,9 @@ def tag_loss(
     """Mean cross-entropy over labeled (word-initial) positions."""
     if not batch:
         raise ValueError("empty batch")
-    config = params.config
-    ids, segs, mask = _stack([ex.packed for ex in batch])
-    hidden = M.encode_batch(params, config, ids, segs, mask, train_mode=train_mode, rng=rng)
+    hidden = _encode(params, [ex.packed for ex in batch], train_mode=train_mode, rng=rng)
     probs = M.tag_probs_batch(params, hidden)  # [B, L, 3]
-    b, length = ids.shape
+    b, length = hidden.shape[:2]
     flat = reshape(probs, (b * length, 3))
     targets = np.concatenate([ex.token_labels for ex in batch])
     row_mask = np.concatenate([ex.label_mask for ex in batch])
@@ -186,9 +185,7 @@ def asc_loss(
 ) -> Tensor:
     if not batch:
         raise ValueError("empty batch")
-    config = params.config
-    ids, segs, mask = _stack([ex.packed for ex in batch])
-    hidden = M.encode_batch(params, config, ids, segs, mask, train_mode=train_mode, rng=rng)
+    hidden = _encode(params, [ex.packed for ex in batch], train_mode=train_mode, rng=rng)
     probs = M.class_probs_batch(params, hidden)
     return cross_entropy(probs, np.array([ex.label for ex in batch]))
 
@@ -344,9 +341,9 @@ def predict_rrc(params: ModelParameters, examples: list[MrcExample]) -> dict[str
     preds: dict[str, str] = {}
     with no_grad():
         for ex in examples:
-            out = M.forward(params, params.config, ex.packed)
-            l1, l2 = M.span_logits(params, out, span_valid_mask(ex.packed))
-            preds[ex.id] = decode_span(l1, l2, ex.packed).text
+            hidden = _encode(params, [ex.packed])
+            l1, l2 = M.span_probs_batch(params, hidden, span_valid_mask(ex.packed)[None])
+            preds[ex.id] = decode_span(l1.data[0], l2.data[0], ex.packed).text
     return preds
 
 
@@ -354,8 +351,8 @@ def predict_ae(params: ModelParameters, examples: list[BioExample]) -> list[list
     chunks = []
     with no_grad():
         for ex in examples:
-            out = M.forward(params, params.config, ex.packed)
-            chunks.append(decode_bio(M.tag_logits(params, out), ex.packed))
+            hidden = _encode(params, [ex.packed])
+            chunks.append(decode_bio(M.tag_logits(params, hidden).data[0], ex.packed))
     return chunks
 
 
@@ -363,8 +360,8 @@ def predict_asc(params: ModelParameters, examples: list[AscExample]) -> list[str
     preds = []
     with no_grad():
         for ex in examples:
-            out = M.forward(params, params.config, ex.packed)
-            preds.append(predict_polarity(M.class_logits(params, out)))
+            hidden = _encode(params, [ex.packed])
+            preds.append(predict_polarity(M.class_logits(params, hidden).data[0]))
     return preds
 
 

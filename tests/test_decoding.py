@@ -88,11 +88,11 @@ def test_decode_span_tie_breaks_lowest_index():
 
 
 def bio_probs(labels, n, word_positions):
-    l3 = np.zeros((3, n))
-    l3[2, :] = 1.0  # default O everywhere
+    l3 = np.zeros((n, 3))
+    l3[:, 2] = 1.0  # default O everywhere
     for pos, lab in zip(word_positions, labels):
-        l3[:, pos] = 0.0
-        l3["BIO".index(lab), pos] = 1.0
+        l3[pos] = 0.0
+        l3[pos, "BIO".index(lab)] = 1.0
     return l3
 
 
@@ -123,10 +123,10 @@ def test_decode_bio_word_map_from_packed_subwords():
 
     enc = encode(vocab, "battery works")
     p = pack_single(vocab, enc, 8)
-    l3 = np.zeros((3, 8))
-    l3[2, :] = 1.0
-    l3[:, 1] = [1.0, 0.0, 0.0]  # B on first piece of "battery"
-    l3[:, 2] = [0.0, 0.0, 1.0]  # continuation piece labeled O: ignored
+    l3 = np.zeros((8, 3))
+    l3[:, 2] = 1.0
+    l3[1] = [1.0, 0.0, 0.0]  # B on first piece of "battery"
+    l3[2] = [0.0, 0.0, 1.0]  # continuation piece labeled O: ignored
     chunks = decode_bio(l3, p)
     assert chunks == [(0, 0)]
 
@@ -136,10 +136,10 @@ def test_decode_bio_chunk_count_bounded_by_begin_labels():
     p = make_packed(question="what", doc="the battery life is great and long", max_len=20)
     word_positions = [p.doc_start + i for i in range(7)]
     for _ in range(200):
-        l3 = rng.random((3, len(p.ids)))
-        l3 /= l3.sum(axis=0, keepdims=True)
+        l3 = rng.random((len(p.ids), 3))
+        l3 /= l3.sum(axis=-1, keepdims=True)
         chunks = decode_bio(l3, p, word_positions)
-        labels = ["BIO"[int(np.argmax(l3[:, pos]))] for pos in word_positions]
+        labels = ["BIO"[int(np.argmax(l3[pos]))] for pos in word_positions]
         n_b = labels.count("B")
         n_promoted = sum(
             1 for i, lab in enumerate(labels) if lab == "I" and (i == 0 or labels[i - 1] == "O")

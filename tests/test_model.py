@@ -4,7 +4,7 @@ import pytest
 from reviewpt import model as M
 from reviewpt import tokenizer as tok
 from reviewpt.data import span_valid_mask
-from reviewpt.model import ModelConfig, forward, init_parameters, preset_config
+from reviewpt.model import ModelConfig, init_parameters, preset_config
 from reviewpt.tokenizer import SPECIALS, Vocabulary, encode, pack_pair
 
 VOCAB = Vocabulary(list(SPECIALS) + ["aa", "bb", "cc", "dd", "ee", "ff", "gg"])
@@ -12,6 +12,18 @@ VOCAB = Vocabulary(list(SPECIALS) + ["aa", "bb", "cc", "dd", "ee", "ff", "gg"])
 
 def make_packed(left="aa bb", right="cc dd ee ff", max_len=16):
     return pack_pair(VOCAB, encode(VOCAB, left), encode(VOCAB, right), max_len)
+
+
+def encode_packs(params, config, *packs, **kwargs):
+    """Hidden states [B, L, H] of equal-length packed inputs."""
+    return M.encode_batch(
+        params,
+        config,
+        np.stack([p.ids for p in packs]),
+        np.stack([p.segments for p in packs]),
+        np.stack([p.pad_mask for p in packs]),
+        **kwargs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -36,16 +48,16 @@ def test_config_rejects_indivisible_heads():
 def test_forward_shape_contract(setup):
     config, params = setup
     p = make_packed()
-    out = forward(params, config, p)
-    assert out.h.shape == (config.hidden_size, len(p.ids))
-    assert out.h_cls.shape == (config.hidden_size,)
+    hidden = encode_packs(params, config, p)
+    assert hidden.shape == (1, len(p.ids), config.hidden_size)
+    assert M.cls_hidden_batch(hidden).shape == (1, config.hidden_size)
 
 
 def test_forward_deterministic_without_dropout(setup):
     config, params = setup
     p = make_packed()
-    a = forward(params, config, p).h.data
-    b = forward(params, config, p).h.data
+    a = encode_packs(params, config, p).data
+    b = encode_packs(params, config, p).data
     assert np.array_equal(a, b)
 
 
@@ -57,56 +69,61 @@ def test_forward_oversize_input_errors(setup):
     )
     p = make_packed(max_len=16)
     with pytest.raises(ValueError, match="max_positions"):
-        forward(params, small, p)
+        encode_packs(params, small, p)
 
 
 def test_padding_does_not_change_real_columns(setup):
     config, params = setup
     short = make_packed(max_len=12)
     long = make_packed(max_len=24)
-    h_short = forward(params, config, short).h.data
-    h_long = forward(params, config, long).h.data
+    h_short = encode_packs(params, config, short).data[0]
+    h_long = encode_packs(params, config, long).data[0]
     n = short.end_index + 1
-    np.testing.assert_allclose(h_short[:, :n], h_long[:, :n], atol=1e-5)
+    np.testing.assert_allclose(h_short[:n], h_long[:n], atol=1e-5)
 
 
 def test_span_logits_respect_mask(setup):
     config, params = setup
     p = make_packed()
-    out = forward(params, config, p)
-    l1, l2 = M.span_logits(params, out, span_valid_mask(p))
-    for l in (l1, l2):
-        assert abs(l.data.sum() - 1.0) < 1e-6
-        assert l.data[: p.sep_index + 1].max() < 1e-6  # question side forced to ~0
-        assert l.data[p.end_index :].max() < 1e-6  # final [SEP] and pads too
+    hidden = encode_packs(params, config, p)
+    l1, l2 = M.span_probs_batch(params, hidden, span_valid_mask(p)[None])
+    for l in (l1.data[0], l2.data[0]):
+        assert abs(l.sum() - 1.0) < 1e-6
+        assert l[: p.sep_index + 1].max() < 1e-6  # question side forced to ~0
+        assert l[p.end_index :].max() < 1e-6  # final [SEP] and pads too
 
 
 def test_span_logits_single_valid_position(setup):
     config, params = setup
     p = make_packed()
-    out = forward(params, config, p)
+    hidden = encode_packs(params, config, p)
     mask = np.zeros(len(p.ids), dtype=bool)
     mask[p.doc_start] = True
-    l1, l2 = M.span_logits(params, out, mask)
-    assert l1.data[p.doc_start] > 1 - 1e-6
-    assert l2.data[p.doc_start] > 1 - 1e-6
+    l1, l2 = M.span_probs_batch(params, hidden, mask[None])
+    assert l1.data[0, p.doc_start] > 1 - 1e-6
+    assert l2.data[0, p.doc_start] > 1 - 1e-6
 
 
 def test_span_logits_empty_region_errors(setup):
     config, params = setup
     p = make_packed()
-    out = forward(params, config, p)
+    hidden = encode_packs(params, config, p)
     with pytest.raises(ValueError, match="empty valid region"):
-        M.span_logits(params, out, np.zeros(len(p.ids), dtype=bool))
+        M.span_logits(params, hidden, np.zeros((1, len(p.ids)), dtype=bool))
+    # one empty row in a batch is enough
+    pair = encode_packs(params, config, p, p)
+    valid = np.stack([span_valid_mask(p), np.zeros(len(p.ids), dtype=bool)])
+    with pytest.raises(ValueError, match="empty valid region"):
+        M.span_logits(params, pair, valid)
 
 
 def test_tag_logits_shape_and_column_sums(setup):
     config, params = setup
     p = make_packed()
-    out = forward(params, config, p)
-    l3 = M.tag_logits(params, out)
-    assert l3.shape == (3, len(p.ids))
-    np.testing.assert_allclose(l3.data.sum(axis=0), 1.0, atol=1e-6)
+    hidden = encode_packs(params, config, p)
+    l3 = M.tag_probs_batch(params, hidden)
+    assert l3.shape == (1, len(p.ids), 3)
+    np.testing.assert_allclose(l3.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_tag_logits_zero_head_uniform(setup):
@@ -114,29 +131,29 @@ def test_tag_logits_zero_head_uniform(setup):
     params = init_parameters(config, seed=3)
     params["tag.w"].data[:] = 0.0
     params["tag.b"].data[:] = 0.0
-    out = forward(params, config, make_packed())
-    np.testing.assert_allclose(M.tag_logits(params, out).data, 1.0 / 3.0, atol=1e-6)
+    hidden = encode_packs(params, config, make_packed())
+    np.testing.assert_allclose(M.tag_probs_batch(params, hidden).data, 1.0 / 3.0, atol=1e-6)
 
 
 def test_class_logits_distribution_and_zero_head(setup):
     config, params = setup
-    out = forward(params, config, make_packed())
-    l4 = M.class_logits(params, out)
-    assert l4.shape == (3,)
+    hidden = encode_packs(params, config, make_packed())
+    l4 = M.class_probs_batch(params, hidden)
+    assert l4.shape == (1, 3)
     assert abs(l4.data.sum() - 1.0) < 1e-6
     zeroed = init_parameters(config, seed=3)
     zeroed["cls.w"].data[:] = 0.0
     zeroed["cls.b"].data[:] = 0.0
-    out2 = forward(zeroed, config, make_packed())
-    np.testing.assert_allclose(M.class_logits(zeroed, out2).data, [1 / 3] * 3, atol=1e-6)
+    hidden2 = encode_packs(zeroed, config, make_packed())
+    np.testing.assert_allclose(M.class_probs_batch(zeroed, hidden2).data, [[1 / 3] * 3], atol=1e-6)
 
 
 def test_class_logits_sensitive_to_document_order(setup):
     config, params = setup
     a = make_packed(right="cc dd ee")
     b = make_packed(right="ee dd cc")
-    la = M.class_logits(params, forward(params, config, a)).data
-    lb = M.class_logits(params, forward(params, config, b)).data
+    la = M.class_logits(params, encode_packs(params, config, a)).data
+    lb = M.class_logits(params, encode_packs(params, config, b)).data
     assert not np.allclose(la, lb)
 
 
@@ -145,18 +162,18 @@ def test_pair_logits_zero_head_is_even(setup):
     params = init_parameters(config, seed=3)
     params["pair.w"].data[:] = 0.0
     params["pair.b"].data[:] = 0.0
-    out = forward(params, config, make_packed())
-    np.testing.assert_allclose(M.pair_logits(params, out).data, [0.5, 0.5], atol=1e-6)
+    hidden = encode_packs(params, config, make_packed())
+    np.testing.assert_allclose(M.pair_probs_batch(params, hidden).data, [[0.5, 0.5]], atol=1e-6)
 
 
 def test_mlm_logits_rows_and_empty(setup):
     config, params = setup
     p = make_packed()
-    out = forward(params, config, p)
-    probs = M.mlm_logits(params, out, [p.doc_start, p.doc_start + 1])
+    hidden = encode_packs(params, config, p)
+    probs = M.mlm_probs_flat(params, hidden, [p.doc_start, p.doc_start + 1])
     assert probs.shape == (2, config.vocab_size)
     np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
-    empty = M.mlm_logits(params, out, [])
+    empty = M.mlm_probs_flat(params, hidden, [])
     assert empty.shape == (0, config.vocab_size)
 
 
@@ -164,71 +181,77 @@ def test_tied_mlm_uses_token_table():
     config = preset_config("tiny", vocab_size=len(VOCAB), dropout_rate=0.0, tie_mlm=True)
     params = init_parameters(config, seed=2)
     assert "mlm.proj" not in params
-    out = forward(params, config, make_packed())
-    probs = M.mlm_logits(params, out, [5])
+    hidden = encode_packs(params, config, make_packed())
+    probs = M.mlm_probs_flat(params, hidden, [5])
     assert probs.shape == (1, config.vocab_size)
 
 
 def test_gradient_reaches_token_embeddings_from_every_head(setup):
     config, _ = setup
     p = make_packed()
-    from reviewpt.autograd import cross_entropy
+    from reviewpt.autograd import cross_entropy, reshape
 
     def embedding_grad(head_loss_builder):
         params = init_parameters(config, seed=9)
-        out = forward(params, config, p)
-        loss = head_loss_builder(params, out)
+        hidden = encode_packs(params, config, p)
+        loss = head_loss_builder(params, hidden)
         loss.backward()
         return np.abs(params["tok_emb"].grad).sum()
 
     builders = [
-        lambda pr, out: cross_entropy(
-            M.mlm_logits(pr, out, [p.doc_start]), np.array([5])
+        lambda pr, h: cross_entropy(M.mlm_probs_flat(pr, h, [p.doc_start]), np.array([5])),
+        lambda pr, h: cross_entropy(M.pair_probs_batch(pr, h), np.array([0])),
+        lambda pr, h: cross_entropy(M.class_probs_batch(pr, h), np.array([1])),
+        lambda pr, h: cross_entropy(
+            M.span_probs_batch(pr, h, span_valid_mask(p)[None])[0], np.array([p.doc_start])
         ),
-        lambda pr, out: cross_entropy(_as2d(M.pair_logits(pr, out)), np.array([0])),
-        lambda pr, out: cross_entropy(_as2d(M.class_logits(pr, out)), np.array([1])),
-        lambda pr, out: cross_entropy(
-            _as2d(M.span_logits(pr, out, span_valid_mask(p))[0]), np.array([p.doc_start])
-        ),
-        lambda pr, out: cross_entropy(
-            _as2d_cols(M.tag_logits(pr, out)), np.array([0] * len(p.ids))
+        lambda pr, h: cross_entropy(
+            reshape(M.tag_probs_batch(pr, h), (len(p.ids), 3)), np.array([0] * len(p.ids))
         ),
     ]
     for build in builders:
         assert embedding_grad(build) > 0.0
 
 
-def _as2d(vec):
-    from reviewpt.autograd import reshape
-
-    return reshape(vec, (1, -1))
-
-
-def _as2d_cols(mat):
-    from reviewpt.autograd import transpose
-
-    return transpose(mat, (1, 0))
-
-
 def test_batched_heads_match_per_example(setup):
+    """Row i of a batch of B equals a batch of one, for every head: training
+    runs many examples per batch and inference runs one."""
     config, params = setup
-    packs = [make_packed(), make_packed(left="bb", right="ff gg aa")]
-    ids = np.stack([p.ids for p in packs])
-    segs = np.stack([p.segments for p in packs])
-    mask = np.stack([p.pad_mask for p in packs])
-    hidden = M.encode_batch(params, config, ids, segs, mask)
+    packs = [make_packed(), make_packed(left="bb", right="ff gg aa"), make_packed(right="ee")]
     valid = np.stack([span_valid_mask(p) for p in packs])
-    l1b, _ = M.span_probs_batch(params, hidden, valid)
-    pairb = M.pair_probs_batch(params, hidden)
-    clsb = M.class_probs_batch(params, hidden)
-    tagb = M.tag_probs_batch(params, hidden)
+
+    def heads(hidden, valid):
+        length = hidden.shape[1]
+        return {
+            "cls_hidden_batch": M.cls_hidden_batch(hidden),
+            "span_logits": M.span_logits(params, hidden, valid),
+            "span_probs_batch": M.span_probs_batch(params, hidden, valid),
+            "tag_logits": M.tag_logits(params, hidden),
+            "tag_probs_batch": M.tag_probs_batch(params, hidden),
+            "class_logits": M.class_logits(params, hidden),
+            "class_probs_batch": M.class_probs_batch(params, hidden),
+            "pair_probs_batch": M.pair_probs_batch(params, hidden),
+            # positions 1 and 2 of every row, flattened
+            "mlm_probs_flat": M.mlm_probs_flat(
+                params, hidden, [b * length + j for b in range(hidden.shape[0]) for j in (1, 2)]
+            ),
+        }
+
+    def rows(out, i):
+        if isinstance(out, tuple):
+            return [o.data[i] for o in out]
+        return [out.data[i]]
+
+    batched = heads(encode_packs(params, config, *packs), valid)
     for i, p in enumerate(packs):
-        out = forward(params, config, p)
-        l1, _ = M.span_logits(params, out, span_valid_mask(p))
-        np.testing.assert_allclose(l1b.data[i], l1.data, atol=1e-6)
-        np.testing.assert_allclose(pairb.data[i], M.pair_logits(params, out).data, atol=1e-6)
-        np.testing.assert_allclose(clsb.data[i], M.class_logits(params, out).data, atol=1e-6)
-        np.testing.assert_allclose(tagb.data[i].T, M.tag_logits(params, out).data, atol=1e-6)
+        single = heads(encode_packs(params, config, p), valid[i : i + 1])
+        for name, out in single.items():
+            if name == "mlm_probs_flat":
+                got, want = batched[name].data[2 * i : 2 * i + 2], out.data
+                np.testing.assert_allclose(got, want, atol=1e-6, err_msg=name)
+                continue
+            for got, want in zip(rows(batched[name], i), rows(out, 0)):
+                np.testing.assert_allclose(got, want, atol=1e-6, err_msg=name)
 
 
 def test_dropout_changes_training_forward(setup):
@@ -236,9 +259,9 @@ def test_dropout_changes_training_forward(setup):
     cfg = preset_config("tiny", vocab_size=len(VOCAB), dropout_rate=0.3)
     params = init_parameters(cfg, seed=4)
     p = make_packed()
-    a = forward(params, cfg, p, train_mode=True, rng=np.random.default_rng(1)).h.data
-    b = forward(params, cfg, p, train_mode=True, rng=np.random.default_rng(2)).h.data
-    c = forward(params, cfg, p, train_mode=False).h.data
-    d = forward(params, cfg, p, train_mode=False).h.data
+    a = encode_packs(params, cfg, p, train_mode=True, rng=np.random.default_rng(1)).data
+    b = encode_packs(params, cfg, p, train_mode=True, rng=np.random.default_rng(2)).data
+    c = encode_packs(params, cfg, p, train_mode=False).data
+    d = encode_packs(params, cfg, p, train_mode=False).data
     assert not np.allclose(a, b)
     assert np.array_equal(c, d)

@@ -1,0 +1,82 @@
+"""End to end at the tiny preset: post-train, fine-tune, predict and evaluate.
+
+Makes the same output checks as the benchmark, and checks that a second
+identical run writes byte-identical checkpoints.
+"""
+
+import pytest
+
+import synthworld as W
+from reviewpt import training as T
+from reviewpt.data import POLARITIES, make_dk_examples
+from reviewpt.model import preset_config
+
+MAX_LEN = 64
+TASKS = ("rrc", "ae", "asc")
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("world")
+    vocab = W.world_vocab(400, seed=0)
+    dk = list(make_dk_examples(W.make_reviews(8, seed=1), vocab, max_len=MAX_LEN, duplicate_factor=1, seed=0))
+    mrc = W.load_rrc_examples(tmp, W.make_general_qa_squad(8, seed=2), vocab, MAX_LEN, name="general.json")
+    tasks = {}
+    for task in TASKS:
+        sets = []
+        for part, seed in (("train", 3), ("valid", 4), ("heldout", 5)):
+            n, name = (4 if part == "train" else 3), f"{task}_{part}"
+            if task == "rrc":
+                sets.append(W.load_rrc_examples(tmp, W.make_rrc_squad(n, seed=seed), vocab, MAX_LEN, name=name))
+            elif task == "ae":
+                sets.append(W.load_bio_examples(tmp, W.make_bio_lines(n, seed=seed), vocab, MAX_LEN, name=name))
+            else:
+                sets.append(W.load_asc_examples(tmp, W.make_asc_lines(n, seed=seed), vocab, MAX_LEN, name=name))
+        tasks[task] = sets
+    model_config = preset_config("tiny", len(vocab), max_positions=MAX_LEN)
+    return vocab, model_config, dk, mrc, tasks
+
+
+def run_pipeline(world, out_dir):
+    """(checkpoints by stage, predictions and reports by task) of one seeded run."""
+    vocab, model_config, dk, mrc, tasks = world
+    config = T.PostTrainConfig(
+        total_steps=2, max_len=MAX_LEN, batch_per_knowledge=4, sub_batches=2, learning_rate=1e-3, clip_norm=1.0
+    )
+    base = T.posttrain_run(config, model_config, vocab, dk, mrc, out_dir)
+    ckpts, preds, reports = {"posttrain": base}, {}, {}
+    predict = {"rrc": T.predict_rrc, "ae": T.predict_ae, "asc": T.predict_asc}
+    for task, (train, valid, heldout) in tasks.items():
+        cfg = T.FineTuneConfig(task=task, max_epochs=1, learning_rate=1e-3, batch_size=4)
+        ckpts[task], _ = T.finetune(cfg, model_config, vocab, train, valid, init=base)
+        params = ckpts[task].restore()
+        preds[task] = predict[task](params, heldout)
+        reports[task] = T.evaluate_task(params, task, heldout)
+    return ckpts, preds, reports
+
+
+def test_pipeline_outputs_are_well_formed_and_reproducible(world, tmp_path):
+    ckpts, preds, reports = run_pipeline(world, tmp_path / "a")
+    tasks = world[4]
+
+    rrc = tasks["rrc"][2]
+    assert len(preds["rrc"]) == len(rrc)
+    for ex in rrc:
+        text = preds["rrc"][ex.id]
+        assert text and text in ex.context
+    ae = tasks["ae"][2]
+    assert len(preds["ae"]) == len(ae)
+    for ex, chunks in zip(ae, preds["ae"]):
+        assert all(0 <= s <= e < len(ex.words) for s, e in chunks)
+    assert len(preds["asc"]) == len(tasks["asc"][2])
+    assert all(label in POLARITIES for label in preds["asc"])
+    for report in reports.values():
+        assert 0.0 <= report.primary_value <= 100.0
+
+    again, preds2, _ = run_pipeline(world, tmp_path / "b")
+    assert (tmp_path / "a" / "final.ckpt").read_bytes() == (tmp_path / "b" / "final.ckpt").read_bytes()
+    for stage, ckpt in ckpts.items():
+        assert list(ckpt.blobs) == list(again[stage].blobs)
+        for name, blob in ckpt.blobs.items():
+            assert blob.tobytes() == again[stage].blobs[name].tobytes(), f"{stage} {name}"
+    assert preds2 == preds
