@@ -4,12 +4,14 @@ Layout: magic ``PTCK``, u32 format version, length-prefixed header JSON
 (model config + seed), 32-byte vocabulary digest, u64 step count, then one
 named blob per parameter: u32 name length, name, u8 dtype tag (0=float32,
 1=float64), u32 rank, u64 dims, little-endian payload.  Saving is
-deterministic, so save -> load -> save is byte-identical.
+deterministic, so save -> load -> save is byte-identical.  A file cut off
+anywhere after the magic fails to load with :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -79,35 +81,41 @@ def save_checkpoint(path, params: ModelParameters, vocab_digest: bytes, step: in
             f.write(data.astype(_TAG_DTYPES[tag], copy=False).tobytes())
 
 
+def _read(f, n: int) -> bytes:
+    """Exactly ``n`` bytes of ``f``; a shorter read means the file was cut off."""
+    data = f.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"{f.name} is truncated: wanted {n} bytes, got {len(data)}")
+    return data
+
+
 def load_checkpoint(path, expect_vocab_digest: bytes | None = None) -> Checkpoint:
     """Read a checkpoint; a digest mismatch is an error, not a warning."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", _read(f, 4))
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        digest = f.read(32)
-        (step,) = struct.unpack("<Q", f.read(8))
+        (hlen,) = struct.unpack("<I", _read(f, 4))
+        header = json.loads(_read(f, hlen).decode("utf-8"))
+        digest = _read(f, 32)
+        (step,) = struct.unpack("<Q", _read(f, 8))
         if expect_vocab_digest is not None and digest != expect_vocab_digest:
             raise CheckpointError("vocabulary digest mismatch: checkpoint was built with a different vocabulary")
+        size = os.fstat(f.fileno()).st_size
         blobs: dict[str, np.ndarray] = {}
-        while True:
-            raw = f.read(4)
-            if not raw:
-                break
-            (nlen,) = struct.unpack("<I", raw)
-            name = f.read(nlen).decode("utf-8")
-            (tag,) = struct.unpack("<B", f.read(1))
-            (rank,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
+        while f.tell() < size:
+            (nlen,) = struct.unpack("<I", _read(f, 4))
+            name = _read(f, nlen).decode("utf-8")
+            (tag,) = struct.unpack("<B", _read(f, 1))
+            (rank,) = struct.unpack("<I", _read(f, 4))
+            shape = tuple(struct.unpack("<Q", _read(f, 8))[0] for _ in range(rank))
             dtype = _TAG_DTYPES.get(tag)
             if dtype is None:
                 raise CheckpointError(f"unknown dtype tag {tag} for blob {name}")
             count = int(np.prod(shape)) if shape else 1
-            blob = np.frombuffer(f.read(count * dtype.itemsize), dtype=dtype).reshape(shape)
+            blob = np.frombuffer(_read(f, count * dtype.itemsize), dtype=dtype).reshape(shape)
             blobs[name] = blob.copy()
     config = ModelConfig(**header["model"])
     return Checkpoint(config=config, seed=header["seed"], step=step, vocab_digest=digest, blobs=blobs)

@@ -26,6 +26,7 @@ from .tokenizer import (
     Encoding,
     PackedInput,
     Vocabulary,
+    _pad,
     encode,
     pack_ids,
     pack_pair,
@@ -141,7 +142,6 @@ def _split_two_sides(sent_ids: list[list[int]], rng: np.random.Generator) -> tup
 
 def _apply_masking(
     ids: np.ndarray,
-    sep_index: int,
     end_index: int,
     vocab_size: int,
     rng: np.random.Generator,
@@ -207,16 +207,8 @@ def make_dk_examples(
             else:
                 label = SAME_REVIEW
             left = left[:left_budget]
-            ids, segs, mask, sep_index, end_index, _ = pack_ids(left, right, max_len)
-            targets = _apply_masking(ids, sep_index, end_index, len(vocab), rng)
-            packed = PackedInput(
-                ids=ids,
-                segments=segs,
-                pad_mask=mask,
-                sep_index=sep_index,
-                end_index=end_index,
-                doc_start=sep_index + 1,
-            )
+            packed = pack_ids(left, right, max_len)
+            targets = _apply_masking(packed.ids, packed.end_index, len(vocab), rng)
             yield DkExample(packed=packed, mlm_targets=targets, pair_label=label)
 
 
@@ -251,8 +243,16 @@ def write_dk_shard(path, examples, seed: int) -> int:
     return len(records)
 
 
+def _read(f, n: int) -> bytes:
+    """Exactly ``n`` bytes of ``f``; a shorter read means the file was cut off."""
+    data = f.read(n)
+    if len(data) != n:
+        raise DataFormatError(f"{f.name} is truncated: wanted {n} bytes, got {len(data)}")
+    return data
+
+
 def read_dk_shard(path) -> tuple[list[DkExample], int]:
-    """Returns (examples, seed); raises DataFormatError on a bad header."""
+    """Returns (examples, seed); raises DataFormatError on a bad header or a truncated file."""
     with open(path, "rb") as f:
         head = f.read(16)
         if len(head) != 16 or head[:4] != DK_MAGIC:
@@ -262,24 +262,9 @@ def read_dk_shard(path) -> tuple[list[DkExample], int]:
             raise DataFormatError(f"unsupported DK shard version {version}")
         out = []
         for _ in range(count):
-            (n,) = struct.unpack("<I", f.read(4))
-            rec = json.loads(f.read(n).decode("utf-8"))
-            max_len = rec["len"]
-            ids = np.full(max_len, PAD_ID, dtype=np.int64)
-            segs = np.zeros(max_len, dtype=np.int64)
-            real = len(rec["ids"])
-            ids[:real] = rec["ids"]
-            segs[:real] = rec["seg"]
-            mask = np.zeros(max_len, dtype=np.int64)
-            mask[:real] = 1
-            packed = PackedInput(
-                ids=ids,
-                segments=segs,
-                pad_mask=mask,
-                sep_index=rec["sep"],
-                end_index=real - 1,
-                doc_start=rec["sep"] + 1,
-            )
+            (n,) = struct.unpack("<I", _read(f, 4))
+            rec = json.loads(_read(f, n).decode("utf-8"))
+            packed = _pad(rec["ids"], rec["seg"], rec["len"], sep_index=rec["sep"], doc_start=rec["sep"] + 1)
             out.append(
                 DkExample(
                     packed=packed,
@@ -426,6 +411,12 @@ def load_bio(path) -> list[BioExample]:
     return out
 
 
+def word_starts(packed: PackedInput) -> list[int]:
+    """Position of the first token of each document word, in word order."""
+    words = packed.doc_words or []
+    return [packed.doc_start + t for t, w in enumerate(words) if t == 0 or w != words[t - 1]]
+
+
 def encode_bio(ex: BioExample, vocab: Vocabulary, max_len: int) -> BioExample:
     """Pack a sentence; labels sit on word-initial tokens, rest are ignored."""
     enc = encode(vocab, " ".join(ex.words))
@@ -433,13 +424,9 @@ def encode_bio(ex: BioExample, vocab: Vocabulary, max_len: int) -> BioExample:
     n = len(packed.ids)
     token_labels = np.zeros(n, dtype=np.int64)
     label_mask = np.zeros(n, dtype=bool)
-    seen_word: set[int] = set()
-    for t_idx, w_idx in enumerate(packed.doc_words):
-        pos = packed.doc_start + t_idx
-        if w_idx not in seen_word:
-            seen_word.add(w_idx)
-            token_labels[pos] = BIO_LABELS.index(ex.labels[w_idx])
-            label_mask[pos] = True
+    for w_idx, pos in enumerate(word_starts(packed)):
+        token_labels[pos] = BIO_LABELS.index(ex.labels[w_idx])
+        label_mask[pos] = True
     return replace(ex, packed=packed, token_labels=token_labels, label_mask=label_mask)
 
 

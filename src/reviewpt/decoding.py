@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .data import POLARITIES, gold_chunks
+from .data import POLARITIES, gold_chunks, word_starts
 from .tokenizer import PackedInput
 
 
@@ -47,22 +47,16 @@ def decode_span(l1, l2, packed: PackedInput) -> SpanPrediction:
     return SpanPrediction(start=s, end=e, text=text, score=float(l1[s] * l2[e]))
 
 
-def decode_bio(l3, packed: PackedInput, word_map: list[int] | None = None) -> list[tuple[int, int]]:
+def decode_bio(l3, packed: PackedInput) -> list[tuple[int, int]]:
     """Word-level aspect chunks from per-position B/I/O scores.
 
     ``l3`` is [|x|, 3], as :func:`reviewpt.model.tag_logits` returns one
-    row.  Each word takes the argmax label of its FIRST subword token; the
-    labels are chunked by :func:`reviewpt.data.gold_chunks`.
+    row.  Each word takes the argmax label of its FIRST subword token (see
+    :func:`reviewpt.data.word_starts`); the labels are chunked by
+    :func:`reviewpt.data.gold_chunks`.
     """
     l3 = _as_array(l3)
-    if word_map is None:
-        word_map = []
-        seen: set[int] = set()
-        for t_idx, w_idx in enumerate(packed.doc_words or []):
-            if w_idx not in seen:
-                seen.add(w_idx)
-                word_map.append(packed.doc_start + t_idx)
-    return gold_chunks(["BIO"[int(np.argmax(l3[pos]))] for pos in word_map])
+    return gold_chunks(["BIO"[int(np.argmax(l3[pos]))] for pos in word_starts(packed)])
 
 
 def predict_polarity(l4) -> str:

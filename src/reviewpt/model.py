@@ -43,10 +43,6 @@ class ModelConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, s: str) -> "ModelConfig":
-        return cls(**json.loads(s))
-
 
 # Desk-scale presets; "base" mirrors the full-size setting but is not
 # expected to be trained here.

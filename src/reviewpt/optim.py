@@ -32,13 +32,12 @@ class AdamState:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
-def adam_step(state: AdamState, params: dict[str, Tensor], lr_scale: float = 1.0) -> None:
+def adam_step(state: AdamState, params: dict[str, Tensor]) -> None:
     """One bias-corrected Adam update, in place; grads are left untouched."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    lr = state.learning_rate * lr_scale
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -51,7 +50,7 @@ def adam_step(state: AdamState, params: dict[str, Tensor], lr_scale: float = 1.0
         v += (1.0 - b2) * g * g
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= lr * mhat / (np.sqrt(vhat) + state.epsilon)
+        p.data -= state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:

@@ -35,10 +35,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.tokens)
 
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
-
     def digest(self) -> bytes:
         """32-byte fingerprint of the exact token list (file-format bytes)."""
         return hashlib.sha256(("\n".join(self.tokens) + "\n").encode("utf-8")).digest()
@@ -76,10 +72,6 @@ class PackedInput:
     doc_offsets: list[tuple[int, int]] | None = None
     doc_words: list[int] | None = None
     doc_text: str | None = None
-
-    @property
-    def length(self) -> int:
-        return self.end_index + 1
 
 
 def _lower(text: str) -> str:
@@ -240,45 +232,43 @@ def decode(vocab: Vocabulary, ids) -> str:
     return " ".join(parts)
 
 
-def pack_ids(
-    left_ids,
-    right_ids,
-    max_len: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
-    """Assemble [CLS] left [SEP] right [SEP] id arrays, truncating the right."""
-    left_ids = list(left_ids)
-    right_ids = list(right_ids)
-    if len(left_ids) + 3 > max_len:
-        raise ValueError("left too long")
-    budget = max_len - 3 - len(left_ids)
-    kept = right_ids[:budget]
-    ids = [CLS_ID] + left_ids + [SEP_ID] + kept + [SEP_ID]
-    sep_index = 1 + len(left_ids)
-    end_index = len(ids) - 1
-    segments = [0] * (sep_index + 1) + [1] * (len(kept) + 1)
+def _pad(ids: list[int], segments: list[int], max_len: int, **fields) -> PackedInput:
+    """The real ``ids`` and ``segments`` padded to ``max_len``; ``pad_mask`` marks the real positions."""
     n = len(ids)
+    if n > max_len:
+        raise ValueError(f"{n} tokens do not fit max_len {max_len}")
     pad = max_len - n
     ids_arr = np.array(ids + [PAD_ID] * pad, dtype=np.int64)
     seg_arr = np.array(segments + [0] * pad, dtype=np.int64)
     mask = np.zeros(max_len, dtype=np.int64)
     mask[:n] = 1
-    return ids_arr, seg_arr, mask, sep_index, end_index, len(kept)
+    return PackedInput(ids=ids_arr, segments=seg_arr, pad_mask=mask, end_index=n - 1, **fields)
+
+
+def pack_ids(left_ids, right_ids, max_len: int) -> PackedInput:
+    """Assemble [CLS] left [SEP] right [SEP], truncating the right side to fit."""
+    left_ids = list(left_ids)
+    if len(left_ids) + 3 > max_len:
+        raise ValueError("left too long")
+    kept = list(right_ids)[: max_len - 3 - len(left_ids)]
+    sep_index = 1 + len(left_ids)
+    return _pad(
+        [CLS_ID] + left_ids + [SEP_ID] + kept + [SEP_ID],
+        [0] * (sep_index + 1) + [1] * (len(kept) + 1),
+        max_len,
+        sep_index=sep_index,
+        doc_start=sep_index + 1,
+    )
 
 
 def pack_pair(vocab: Vocabulary, left: Encoding, right: Encoding, max_len: int) -> PackedInput:
     """Pack a (question/aspect, document) pair; only the right side truncates."""
-    ids, segs, mask, sep_index, end_index, kept = pack_ids(left.ids, right.ids, max_len)
-    return PackedInput(
-        ids=ids,
-        segments=segs,
-        pad_mask=mask,
-        sep_index=sep_index,
-        end_index=end_index,
-        doc_start=sep_index + 1,
-        doc_offsets=right.offsets[:kept],
-        doc_words=right.words[:kept],
-        doc_text=right.text,
-    )
+    packed = pack_ids(left.ids, right.ids, max_len)
+    kept = packed.end_index - packed.doc_start
+    packed.doc_offsets = right.offsets[:kept]
+    packed.doc_words = right.words[:kept]
+    packed.doc_text = right.text
+    return packed
 
 
 def pack_single(vocab: Vocabulary, enc: Encoding, max_len: int) -> PackedInput:
@@ -286,20 +276,11 @@ def pack_single(vocab: Vocabulary, enc: Encoding, max_len: int) -> PackedInput:
     if max_len < 3:
         raise ValueError("max_len too small")
     kept = min(len(enc.ids), max_len - 2)
-    ids = [CLS_ID] + list(enc.ids[:kept]) + [SEP_ID]
-    n = len(ids)
-    pad = max_len - n
-    ids_arr = np.array(ids + [PAD_ID] * pad, dtype=np.int64)
-    seg_arr = np.zeros(max_len, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.int64)
-    mask[:n] = 1
-    end_index = n - 1
-    return PackedInput(
-        ids=ids_arr,
-        segments=seg_arr,
-        pad_mask=mask,
-        sep_index=end_index,
-        end_index=end_index,
+    return _pad(
+        [CLS_ID] + list(enc.ids[:kept]) + [SEP_ID],
+        [0] * (kept + 2),
+        max_len,
+        sep_index=kept + 1,
         doc_start=1,
         doc_offsets=enc.offsets[:kept],
         doc_words=enc.words[:kept],

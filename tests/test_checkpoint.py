@@ -37,3 +37,30 @@ def test_restore_rejects_extra_blob(ckpt):
     loaded.blobs["cls.extra"] = np.zeros(3, dtype=np.float32)
     with pytest.raises(CheckpointError, match="cls.extra"):
         loaded.restore()
+
+
+def _cut_at(blob: bytes, where: str) -> int:
+    """Bytes to keep so the file ends inside ``where``."""
+    (hlen,) = np.frombuffer(blob[8:12], dtype="<u4")
+    first_blob = 12 + int(hlen) + 32 + 8
+    return {
+        "version": 6,
+        "header length": 10,
+        "header": 12 + int(hlen) // 2,
+        "digest": 12 + int(hlen) + 10,
+        "step": 12 + int(hlen) + 36,
+        "blob name": first_blob + 6,
+        "blob payload": len(blob) - 100,
+        "last byte": len(blob) - 1,
+    }[where]
+
+
+@pytest.mark.parametrize(
+    "where", ["version", "header length", "header", "digest", "step", "blob name", "blob payload", "last byte"]
+)
+def test_truncated_checkpoint_raises_checkpoint_error(ckpt, tmp_path, where):
+    blob = (tmp_path / "a.ckpt").read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(blob[: _cut_at(blob, where)])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(cut)

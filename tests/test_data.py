@@ -165,6 +165,18 @@ def test_dk_shard_round_trip(tmp_path, vocab):
         assert a.pair_label == b.pair_label
 
 
+@pytest.mark.parametrize("where", ["header", "record length", "record payload", "last record"])
+def test_truncated_dk_shard_raises_data_format_error(tmp_path, vocab, where):
+    examples = list(make_dk_examples(CORPUS, vocab, max_len=48, duplicate_factor=1, seed=5))
+    path = tmp_path / "dk.dksh"
+    write_dk_shard(path, examples, seed=5)
+    blob = path.read_bytes()
+    keep = {"header": 10, "record length": 18, "record payload": 30, "last record": len(blob) - 3}[where]
+    path.write_bytes(blob[:keep])
+    with pytest.raises(DataFormatError):
+        read_dk_shard(path)
+
+
 def test_dk_shard_bad_magic(tmp_path):
     path = tmp_path / "junk.dksh"
     path.write_bytes(b"NOPE" + b"\x00" * 12)

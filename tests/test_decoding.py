@@ -100,21 +100,21 @@ def test_decode_bio_rule_application():
     p = make_packed(question="what", doc="the battery life is great", max_len=16)
     word_positions = [p.doc_start + i for i in range(5)]
     l3 = bio_probs(["B", "I", "I", "O", "B"], len(p.ids), word_positions)
-    assert decode_bio(l3, p, word_positions) == [(0, 2), (4, 4)]
+    assert decode_bio(l3, p) == [(0, 2), (4, 4)]
 
 
 def test_decode_bio_all_outside():
     p = make_packed(question="what", doc="the battery life", max_len=12)
     word_positions = [p.doc_start + i for i in range(3)]
     l3 = bio_probs(["O", "O", "O"], len(p.ids), word_positions)
-    assert decode_bio(l3, p, word_positions) == []
+    assert decode_bio(l3, p) == []
 
 
 def test_decode_bio_stray_inside_promoted():
     p = make_packed(question="what", doc="the battery life", max_len=12)
     word_positions = [p.doc_start + i for i in range(3)]
     l3 = bio_probs(["O", "I", "I"], len(p.ids), word_positions)
-    assert decode_bio(l3, p, word_positions) == [(1, 2)]
+    assert decode_bio(l3, p) == [(1, 2)]
 
 
 def test_decode_bio_word_map_from_packed_subwords():
@@ -138,7 +138,7 @@ def test_decode_bio_chunk_count_bounded_by_begin_labels():
     for _ in range(200):
         l3 = rng.random((len(p.ids), 3))
         l3 /= l3.sum(axis=-1, keepdims=True)
-        chunks = decode_bio(l3, p, word_positions)
+        chunks = decode_bio(l3, p)
         labels = ["BIO"[int(np.argmax(l3[pos]))] for pos in word_positions]
         n_b = labels.count("B")
         n_promoted = sum(

@@ -1,15 +1,21 @@
 """End to end at the tiny preset: post-train, fine-tune, predict and evaluate.
 
 Makes the same output checks as the benchmark, and checks that a second
-identical run writes byte-identical checkpoints.
+identical run writes byte-identical checkpoints.  Also pins the post-train
+step's exact gradient accumulation and the loops' non-finite loss check.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import synthworld as W
 from reviewpt import training as T
+from reviewpt.checkpoint import Checkpoint
 from reviewpt.data import POLARITIES, make_dk_examples
-from reviewpt.model import preset_config
+from reviewpt.model import init_parameters, preset_config
+from reviewpt.optim import AdamState
 
 MAX_LEN = 64
 TASKS = ("rrc", "ae", "asc")
@@ -80,3 +86,33 @@ def test_pipeline_outputs_are_well_formed_and_reproducible(world, tmp_path):
         for name, blob in ckpt.blobs.items():
             assert blob.tobytes() == again[stage].blobs[name].tobytes(), f"{stage} {name}"
     assert preds2 == preds
+
+
+def test_posttrain_step_gradient_does_not_depend_on_sub_batches(world):
+    vocab, model_config, dk, mrc, _ = world
+    config = replace(model_config, dropout_rate=0.0)
+    # with u = 2 and u = 4 the first sub-batch has no masked tokens
+    dk_batch = [replace(ex, mlm_targets=[]) for ex in dk[:2]] + dk[2:4]
+    assert all(ex.mlm_targets for ex in dk_batch[2:])
+    grads = {}
+    for u in (1, 2, 4):
+        params = init_parameters(config, seed=0, dtype=np.float64)
+        T.posttrain_step(params, AdamState(params.tensors), dk_batch, mrc[:4], u, clip_norm=0.0)
+        grads[u] = {name: tensor.grad.copy() for name, tensor in params.items()}
+    for u in (2, 4):
+        for name, grad in grads[1].items():
+            np.testing.assert_allclose(grads[u][name], grad, rtol=1e-9, atol=1e-13, err_msg=f"u={u} {name}")
+
+
+def test_non_finite_init_raises_numeric_error(world, tmp_path):
+    vocab, model_config, dk, mrc, tasks = world
+    blobs = init_parameters(model_config, seed=0).copy_data()
+    blobs["layer1.ff.norm_gain"][:] = np.nan
+    init = Checkpoint(config=model_config, seed=0, step=0, vocab_digest=vocab.digest(), blobs=blobs)
+    config = T.PostTrainConfig(total_steps=1, max_len=MAX_LEN, batch_per_knowledge=4, sub_batches=2)
+    with pytest.raises(T.NumericError):
+        T.posttrain_run(config, model_config, vocab, dk, mrc, tmp_path, init=init)
+    for task, (train, valid, _) in tasks.items():
+        config = T.FineTuneConfig(task=task, max_epochs=1, batch_size=4)
+        with pytest.raises(T.NumericError):
+            T.finetune(config, model_config, vocab, train, valid, init=init)
