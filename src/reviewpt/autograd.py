@@ -420,7 +420,7 @@ def dropout(x, rate: float, rng: np.random.Generator, train: bool = True) -> Ten
     x = as_tensor(x)
     if not train or rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    keep = (rng.random(x.shape, dtype=x.dtype) >= rate).astype(x.dtype)
     scale = 1.0 / (1.0 - rate)
     data = x.data * keep * scale
 

@@ -5,7 +5,8 @@ Layout: magic ``PTCK``, u32 format version, length-prefixed header JSON
 named blob per parameter: u32 name length, name, u8 dtype tag (0=float32,
 1=float64), u32 rank, u64 dims, little-endian payload.  Saving is
 deterministic, so save -> load -> save is byte-identical.  A file cut off
-anywhere after the magic fails to load with :class:`CheckpointError`.
+anywhere after the magic, or whose header or a blob name does not parse,
+fails to load with :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -89,6 +90,15 @@ def _read(f, n: int) -> bytes:
     return data
 
 
+def _parse_header(raw: bytes) -> tuple[ModelConfig, int]:
+    """(model config, seed) from the header bytes; a malformed header raises :class:`CheckpointError`."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+        return ModelConfig(**header["model"]), header["seed"]
+    except (ValueError, KeyError, TypeError) as e:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise CheckpointError(f"corrupt checkpoint header: {e}") from e
+
+
 def load_checkpoint(path, expect_vocab_digest: bytes | None = None) -> Checkpoint:
     """Read a checkpoint; a digest mismatch is an error, not a warning."""
     with open(path, "rb") as f:
@@ -98,7 +108,7 @@ def load_checkpoint(path, expect_vocab_digest: bytes | None = None) -> Checkpoin
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<I", _read(f, 4))
-        header = json.loads(_read(f, hlen).decode("utf-8"))
+        config, seed = _parse_header(_read(f, hlen))
         digest = _read(f, 32)
         (step,) = struct.unpack("<Q", _read(f, 8))
         if expect_vocab_digest is not None and digest != expect_vocab_digest:
@@ -107,7 +117,10 @@ def load_checkpoint(path, expect_vocab_digest: bytes | None = None) -> Checkpoin
         blobs: dict[str, np.ndarray] = {}
         while f.tell() < size:
             (nlen,) = struct.unpack("<I", _read(f, 4))
-            name = _read(f, nlen).decode("utf-8")
+            try:
+                name = _read(f, nlen).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"corrupt blob name: {e}") from e
             (tag,) = struct.unpack("<B", _read(f, 1))
             (rank,) = struct.unpack("<I", _read(f, 4))
             shape = tuple(struct.unpack("<Q", _read(f, 8))[0] for _ in range(rank))
@@ -117,5 +130,4 @@ def load_checkpoint(path, expect_vocab_digest: bytes | None = None) -> Checkpoin
             count = int(np.prod(shape)) if shape else 1
             blob = np.frombuffer(_read(f, count * dtype.itemsize), dtype=dtype).reshape(shape)
             blobs[name] = blob.copy()
-    config = ModelConfig(**header["model"])
-    return Checkpoint(config=config, seed=header["seed"], step=step, vocab_digest=digest, blobs=blobs)
+    return Checkpoint(config=config, seed=seed, step=step, vocab_digest=digest, blobs=blobs)

@@ -57,10 +57,15 @@ class Encoding:
 class PackedInput:
     """A model-ready sequence: [CLS] left [SEP] (right [SEP]) padded to max_len.
 
+    Padding to ``max_len`` is how inputs are stored, not how they are run:
+    a batch is collated at ``[: end_index + 1]`` of its longest example, so
+    the encoder never sees a position that is padding in every row.
+
     ``sep_index`` is the position of the first [SEP]; ``end_index`` the final
-    one.  Document tokens (the span-extraction side) live at positions
-    ``doc_start .. end_index-1`` and, when the packing came from an Encoding,
-    keep their char offsets / word indices into ``doc_text``.
+    one, so ``end_index + 1 == pad_mask.sum()``.  Document tokens (the
+    span-extraction side) live at positions ``doc_start .. end_index-1`` and,
+    when the packing came from an Encoding, keep their char offsets / word
+    indices into ``doc_text``.
     """
 
     ids: np.ndarray

@@ -86,10 +86,17 @@ def _encode(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Hidden states [B, L, H] of equal-length packed inputs."""
-    ids = np.stack([p.ids for p in packs])
-    segs = np.stack([p.segments for p in packs])
-    mask = np.stack([p.pad_mask for p in packs])
+    """Hidden states [B, L, H] of packed inputs stored at one padded length.
+
+    The batch is collated at ``L = max(p.end_index for p in packs) + 1``, the
+    longest real length in it: every position past that is padding in every
+    row, so the encoder never runs on it.  Callers that stack per-position
+    arrays next to the hidden states trim them to ``hidden.shape[1]``.
+    """
+    length = max(p.end_index for p in packs) + 1
+    ids = np.stack([p.ids[:length] for p in packs])
+    segs = np.stack([p.segments[:length] for p in packs])
+    mask = np.stack([p.pad_mask[:length] for p in packs])
     return M.encode_batch(params, params.config, ids, segs, mask, train_mode=train_mode, rng=rng)
 
 
@@ -152,7 +159,7 @@ def mrc_loss(
         if ex.packed is None or ex.start_token < 0:
             raise ValueError(f"example {ex.id} is not encoded")
     hidden = _encode(params, [ex.packed for ex in batch], train_mode=train_mode, rng=rng)
-    valid = np.stack([span_valid_mask(ex.packed) for ex in batch])
+    valid = np.stack([span_valid_mask(ex.packed)[: hidden.shape[1]] for ex in batch])
     l1, l2 = M.span_probs_batch(params, hidden, valid)
     starts = np.array([ex.start_token for ex in batch])
     ends = np.array([ex.end_token for ex in batch])
@@ -172,8 +179,8 @@ def tag_loss(
     probs = M.tag_probs_batch(params, hidden)  # [B, L, 3]
     b, length = hidden.shape[:2]
     flat = reshape(probs, (b * length, 3))
-    targets = np.concatenate([ex.token_labels for ex in batch])
-    row_mask = np.concatenate([ex.label_mask for ex in batch])
+    targets = np.concatenate([ex.token_labels[:length] for ex in batch])
+    row_mask = np.concatenate([ex.label_mask[:length] for ex in batch])
     return cross_entropy(flat, targets, row_mask=row_mask)
 
 
@@ -214,11 +221,15 @@ def _backward(loss: Tensor) -> float:
     return value
 
 
-def _update(params: ModelParameters, adam: AdamState, clip_norm: float) -> None:
-    """Clip the accumulated gradients when ``clip_norm > 0``, then take one Adam step."""
-    if clip_norm > 0:
-        clip_grad_norm(params.tensors, clip_norm)
+def _update(params: ModelParameters, adam: AdamState, clip_norm: float) -> float | None:
+    """Clip the accumulated gradients when ``clip_norm > 0``, then take one Adam step.
+
+    Returns the global gradient norm before clipping, or None when
+    ``clip_norm == 0`` (no norm is computed then).
+    """
+    norm = clip_grad_norm(params.tensors, clip_norm) if clip_norm > 0 else None
     adam_step(adam, params.tensors)
+    return norm
 
 
 # -- post-training ------------------------------------------------------------
@@ -233,7 +244,12 @@ def posttrain_step(
     rng: np.random.Generator | None = None,
     clip_norm: float = 0.0,
 ) -> dict:
-    """One accumulate-then-update step over paired DK/MRC batches."""
+    """One accumulate-then-update step over paired DK/MRC batches.
+
+    Reports the loss terms, ``grad_norm`` (the global gradient norm before
+    clipping; None when ``clip_norm == 0``) and ``tokens`` (real tokens in
+    both batches).
+    """
     b = len(dk_batch)
     if len(mrc_batch) != b:
         raise ValueError(f"batch size mismatch: {b} DK vs {len(mrc_batch)} MRC")
@@ -257,8 +273,15 @@ def posttrain_step(
             l_mlm += mlm_i.item()
         l_nsp += nsp_i.item() * inv_u
         l_mrc += mrc_i_loss.item() * inv_u
-    _update(params, adam, clip_norm)
-    return {"l_dk": l_mlm + l_nsp, "l_mlm": l_mlm, "l_nsp": l_nsp, "l_mrc": l_mrc}
+    grad_norm = _update(params, adam, clip_norm)
+    return {
+        "l_dk": l_mlm + l_nsp,
+        "l_mlm": l_mlm,
+        "l_nsp": l_nsp,
+        "l_mrc": l_mrc,
+        "grad_norm": grad_norm,
+        "tokens": sum(ex.packed.end_index + 1 for ex in dk_batch + mrc_batch),
+    }
 
 
 def posttrain_run(
@@ -313,15 +336,7 @@ def posttrain_run(
             final_step = step
             log.write(
                 json.dumps(
-                    {
-                        "step": step,
-                        "l_dk": report["l_dk"],
-                        "l_mlm": report["l_mlm"],
-                        "l_nsp": report["l_nsp"],
-                        "l_mrc": report["l_mrc"],
-                        "lr": config.learning_rate,
-                        "seconds": time.perf_counter() - t0,
-                    },
+                    {"step": step, **report, "lr": config.learning_rate, "seconds": time.perf_counter() - t0},
                     sort_keys=True,
                 )
                 + "\n"
@@ -346,7 +361,8 @@ def predict_rrc(params: ModelParameters, examples: list[MrcExample]) -> dict[str
     with no_grad():
         for ex in examples:
             hidden = _encode(params, [ex.packed])
-            l1, l2 = M.span_probs_batch(params, hidden, span_valid_mask(ex.packed)[None])
+            valid = span_valid_mask(ex.packed)[None, : hidden.shape[1]]
+            l1, l2 = M.span_probs_batch(params, hidden, valid)
             preds[ex.id] = decode_span(l1.data[0], l2.data[0], ex.packed).text
     return preds
 

@@ -64,3 +64,15 @@ def test_truncated_checkpoint_raises_checkpoint_error(ckpt, tmp_path, where):
     cut.write_bytes(blob[: _cut_at(blob, where)])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("where", ["header length", "header", "blob name"])
+def test_flipped_byte_raises_checkpoint_error(ckpt, tmp_path, where):
+    blob = bytearray((tmp_path / "a.ckpt").read_bytes())
+    (hlen,) = np.frombuffer(blob[8:12], dtype="<u4")
+    offset = {"header length": 8, "header": 14, "blob name": 12 + int(hlen) + 32 + 8 + 4}[where]
+    blob[offset] ^= 0xFF
+    bad = tmp_path / "flipped.ckpt"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="header" if "header" in where else "blob name"):
+        load_checkpoint(bad)

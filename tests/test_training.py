@@ -2,9 +2,12 @@
 
 Makes the same output checks as the benchmark, and checks that a second
 identical run writes byte-identical checkpoints.  Also pins the post-train
-step's exact gradient accumulation and the loops' non-finite loss check.
+step's exact gradient accumulation, the loops' non-finite loss check, the
+post-train log record, and that a batch is encoded only to its longest real
+length, whatever length its inputs are stored at.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +18,7 @@ from reviewpt import training as T
 from reviewpt.checkpoint import Checkpoint
 from reviewpt.data import POLARITIES, make_dk_examples
 from reviewpt.model import init_parameters, preset_config
-from reviewpt.optim import AdamState
+from reviewpt.optim import AdamState, global_grad_norm
 
 MAX_LEN = 64
 TASKS = ("rrc", "ae", "asc")
@@ -116,3 +119,87 @@ def test_non_finite_init_raises_numeric_error(world, tmp_path):
         config = T.FineTuneConfig(task=task, max_epochs=1, batch_size=4)
         with pytest.raises(T.NumericError):
             T.finetune(config, model_config, vocab, train, valid, init=init)
+
+
+def test_posttrain_reports_grad_norm_and_tokens(world, tmp_path):
+    vocab, model_config, dk, mrc, _ = world
+    params = init_parameters(model_config, seed=0)
+    adam = AdamState(params.tensors)
+    report = T.posttrain_step(params, adam, dk[:4], mrc[:4], 2, clip_norm=0.0)
+    assert report["grad_norm"] is None
+    assert report["tokens"] == sum(int(ex.packed.pad_mask.sum()) for ex in dk[:4] + mrc[:4])
+    report = T.posttrain_step(params, adam, dk[:4], mrc[:4], 2, clip_norm=1e-3)
+    assert report["grad_norm"] > 1e-3  # the norm before clipping
+    assert global_grad_norm(params.tensors) == pytest.approx(1e-3)
+
+    config = T.PostTrainConfig(total_steps=2, max_len=MAX_LEN, batch_per_knowledge=4, sub_batches=2, clip_norm=1.0)
+    T.posttrain_run(config, model_config, vocab, dk, mrc, tmp_path)
+    records = [json.loads(line) for line in (tmp_path / "posttrain_log.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in records] == [1, 2]
+    for r in records:
+        assert np.isfinite(r["grad_norm"]) and r["grad_norm"] > 0
+        assert 0 < r["tokens"] <= 2 * config.batch_per_knowledge * MAX_LEN
+
+
+def test_encode_runs_to_the_longest_real_length(world):
+    _, model_config, _, mrc, _ = world
+    packs = [ex.packed for ex in mrc[:4]]
+    lengths = [p.end_index + 1 for p in packs]
+    assert len(set(lengths)) > 1 and max(lengths) < MAX_LEN
+    assert lengths == [int(p.pad_mask.sum()) for p in packs]
+    hidden = T._encode(init_parameters(model_config, seed=0), packs)
+    assert hidden.shape == (4, max(lengths), model_config.hidden_size)
+
+
+TRIM_LENS = (48, 96)
+
+
+@pytest.fixture(scope="module")
+def packed_twice(tmp_path_factory):
+    """(model config, {max_len: examples by loss}): the same examples stored at two lengths."""
+    vocab = W.world_vocab(400, seed=0)
+    sets = {}
+    for max_len in TRIM_LENS:
+        tmp = tmp_path_factory.mktemp(f"len{max_len}")
+        dk = make_dk_examples(W.make_reviews(4, seed=1), vocab, max_len=max_len, duplicate_factor=1, seed=0)
+        sets[max_len] = {
+            "dk": list(dk),
+            "rrc": W.load_rrc_examples(tmp, W.make_rrc_squad(4, seed=3), vocab, max_len),
+            "ae": W.load_bio_examples(tmp, W.make_bio_lines(4, seed=3), vocab, max_len),
+            "asc": W.load_asc_examples(tmp, W.make_asc_lines(4, seed=3), vocab, max_len),
+        }
+    short, long = (sets[n] for n in TRIM_LENS)
+    for kind in short:
+        assert len(short[kind]) == len(long[kind]) == 4, kind
+        for a, b in zip(short[kind], long[kind]):
+            n = a.packed.end_index + 1
+            assert n == b.packed.end_index + 1 and n < TRIM_LENS[0], kind
+            assert np.array_equal(a.packed.ids[:n], b.packed.ids[:n]), kind
+    config = preset_config("tiny", len(vocab), max_positions=TRIM_LENS[1], dropout_rate=0.0)
+    return config, sets
+
+
+def test_losses_and_gradients_do_not_depend_on_stored_length(packed_twice):
+    config, sets = packed_twice
+    losses = {"dk": T.dk_loss, "rrc": T.mrc_loss, "ae": T.tag_loss, "asc": T.asc_loss}
+    for kind, loss_fn in losses.items():
+        results = []
+        for max_len in TRIM_LENS:
+            params = init_parameters(config, seed=0, dtype=np.float64)
+            params.zero_grads()
+            loss = loss_fn(params, sets[max_len][kind], train_mode=True)
+            loss.backward()
+            results.append((loss.item(), {name: tensor.grad.copy() for name, tensor in params.items()}))
+        (value_a, grads_a), (value_b, grads_b) = results
+        np.testing.assert_allclose(value_b, value_a, rtol=1e-12, err_msg=kind)
+        for name, grad in grads_a.items():
+            np.testing.assert_allclose(grads_b[name], grad, rtol=1e-12, err_msg=f"{kind} {name}")
+
+
+def test_predictions_do_not_depend_on_stored_length(packed_twice):
+    config, sets = packed_twice
+    params = init_parameters(config, seed=0)
+    short, long = (sets[n] for n in TRIM_LENS)
+    assert T.predict_rrc(params, short["rrc"]) == T.predict_rrc(params, long["rrc"])
+    assert T.predict_ae(params, short["ae"]) == T.predict_ae(params, long["ae"])
+    assert T.predict_asc(params, short["asc"]) == T.predict_asc(params, long["asc"])
