@@ -3,8 +3,8 @@
 Makes the same output checks as the benchmark, and checks that a second
 identical run writes byte-identical checkpoints.  Also pins the post-train
 step's exact gradient accumulation, the loops' non-finite loss check, the
-post-train log record, and that a batch is encoded only to its longest real
-length, whatever length its inputs are stored at.
+post-train log record, the whole-model gradient, and that a batch is encoded
+only to its longest real length, whatever length its inputs are stored at.
 """
 
 import json
@@ -203,3 +203,42 @@ def test_predictions_do_not_depend_on_stored_length(packed_twice):
     assert T.predict_rrc(params, short["rrc"]) == T.predict_rrc(params, long["rrc"])
     assert T.predict_ae(params, short["ae"]) == T.predict_ae(params, long["ae"])
     assert T.predict_asc(params, short["asc"]) == T.predict_asc(params, long["asc"])
+
+
+WHOLE_MODEL_TOL = 1e-6
+
+
+def test_whole_model_directional_derivative_matches_central_difference(world):
+    """Every loss's backward agrees with a central difference along a random direction.
+
+    Float64, dropout 0, weights perturbed off the init (biases and gains not at
+    0 and 1), 3 examples per loss.  The relative error is
+    ``|analytic - numeric| / max(|analytic|, |numeric|)``.
+    """
+    _, model_config, dk, mrc, tasks = world
+    config = replace(model_config, dropout_rate=0.0)
+    rng = np.random.default_rng(17)
+    base = init_parameters(config, seed=0, dtype=np.float64).copy_data()
+    base = {name: arr + rng.normal(0.0, 0.05, arr.shape) for name, arr in base.items()}
+    direction = {name: rng.normal(0.0, 1.0, arr.shape) for name, arr in base.items()}
+    batches = {
+        "dk": (T.dk_loss, dk[:3]),
+        "mrc": (T.mrc_loss, mrc[:3]),
+        "tag": (T.tag_loss, tasks["ae"][0][:3]),
+        "asc": (T.asc_loss, tasks["asc"][0][:3]),
+    }
+    eps = 1e-5
+
+    def loss_at(loss_fn, batch, step):
+        params = init_parameters(config, seed=0, dtype=np.float64)
+        params.load_data({name: arr + step * direction[name] for name, arr in base.items()})
+        return params, loss_fn(params, batch, train_mode=True)
+
+    for kind, (loss_fn, batch) in batches.items():
+        params, loss = loss_at(loss_fn, batch, 0.0)
+        params.zero_grads()
+        loss.backward()
+        analytic = sum(float((t.grad * direction[name]).sum()) for name, t in params.items())
+        numeric = (loss_at(loss_fn, batch, eps)[1].item() - loss_at(loss_fn, batch, -eps)[1].item()) / (2 * eps)
+        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric))
+        assert err < WHOLE_MODEL_TOL, f"{kind}: analytic {analytic!r}, numeric {numeric!r}, rel err {err:.2e}"
