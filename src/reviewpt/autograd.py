@@ -248,6 +248,85 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` with ``w`` stored ``[in, out]``.
+
+    The leading dims of ``x`` fold into one 2-D GEMM, so the weight gradient
+    is one product over every row rather than a batched product summed down.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    n_in, n_out = w.shape
+    if x.shape[-1] != n_in:
+        raise ValueError(f"linear shape mismatch: {x.shape} vs {w.shape}")
+    x2 = x.data.reshape(-1, n_in)
+    out = x2 @ w.data
+    out += b.data
+    data = out.reshape(x.shape[:-1] + (n_out,))
+
+    def bw(g):
+        g2 = g.reshape(-1, n_out)
+        if x.requires_grad:
+            _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            _accumulate(w, x2.T @ g2)
+        if b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
+
+    return _make(data, (x, w, b), bw)
+
+
+def attention(q, k, v, bias, heads: int, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
+    """Multi-head scaled dot-product attention over ``[B, L, H]`` projections.
+
+    ``bias`` is added to the scaled scores (``MASK_FILL`` at padded keys) and
+    must broadcast to ``[B, heads, L, L]``.  The attention probabilities get
+    inverted dropout, with the mask drawn as :func:`dropout` draws it; nothing
+    is drawn when ``train`` is off or ``rate == 0``.  Returns the context
+    ``[B, L, H]`` with the heads merged back.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    nb, length, h = q.shape
+    dh = h // heads
+    scale = 1.0 / math.sqrt(dh)  # a python float keeps float32 scores float32
+
+    def split(a):
+        return a.reshape(nb, length, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(nb, length, h)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ kh.transpose(0, 1, 3, 2)
+    probs *= scale
+    probs += bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = None
+    dropped = probs
+    if train and rate > 0.0:
+        keep = (rng.random(probs.shape, dtype=probs.dtype) >= rate).astype(probs.dtype)
+        keep_scale = 1.0 / (1.0 - rate)
+        dropped = probs * keep * keep_scale
+    data = merge(dropped @ vh)
+
+    def bw(g):
+        gc = split(g)
+        if v.requires_grad:
+            _accumulate(v, merge(dropped.transpose(0, 1, 3, 2) @ gc))
+        gp = gc @ vh.transpose(0, 1, 3, 2)
+        if keep is not None:
+            gp = gp * keep * keep_scale
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+        gs *= scale
+        if q.requires_grad:
+            _accumulate(q, merge(gs @ kh))
+        if k.requires_grad:
+            _accumulate(k, merge(gs.transpose(0, 1, 3, 2) @ qh))
+
+    return _make(data, (q, k, v), bw)
+
+
 # -- shape moves ------------------------------------------------------------
 
 

@@ -2,7 +2,11 @@
 
 The encoder sums token/position/segment embeddings and applies
 ``num_layers`` blocks of multi-head self-attention (with a padding mask)
-and a gelu feedforward, each followed by add&norm.
+and a gelu feedforward, each followed by add&norm.  Each block is built
+from two fused autograd ops: :func:`~reviewpt.autograd.linear` for every
+projection (one GEMM over all ``B * L`` rows, bias included) and
+:func:`~reviewpt.autograd.attention` for the scores, masked softmax,
+dropout and context of all heads as one graph node.
 
 There is one layout: :func:`encode_batch` returns hidden states
 ``[B, L, H]`` (batch, position, hidden), and every head reads them and
@@ -167,8 +171,6 @@ def encode_batch(
     t = params.tensors
     dtype = t["tok_emb"].dtype
     nh = config.num_heads
-    dh = config.hidden_size // nh
-    h = config.hidden_size
 
     pos = np.broadcast_to(np.arange(length), (b, length))
     x = ag.add(
@@ -180,24 +182,17 @@ def encode_batch(
     # keys at padded positions are pushed to ~0 attention probability
     attn_bias = ((1.0 - np.asarray(pad_mask, dtype=dtype)) * ag.MASK_FILL)[:, None, None, :]
 
-    def heads_view(y: Tensor) -> Tensor:
-        return ag.transpose(ag.reshape(y, (b, length, nh, dh)), (0, 2, 1, 3))
-
     for i in range(config.num_layers):
         p = f"layer{i}."
-        q = heads_view(ag.add(ag.matmul(x, t[p + "attn.wq"]), t[p + "attn.bq"]))
-        k = heads_view(ag.add(ag.matmul(x, t[p + "attn.wk"]), t[p + "attn.bk"]))
-        v = heads_view(ag.add(ag.matmul(x, t[p + "attn.wv"]), t[p + "attn.bv"]))
-        scores = ag.add(ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)), attn_bias)
-        attn = ag.dropout(ag.softmax_rows(scores, axis=-1), config.dropout_rate, rng, train=train_mode)
-        ctx = ag.reshape(ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)), (b, length, h))
-        attn_out = ag.add(ag.matmul(ctx, t[p + "attn.wo"]), t[p + "attn.bo"])
+        q = ag.linear(x, t[p + "attn.wq"], t[p + "attn.bq"])
+        k = ag.linear(x, t[p + "attn.wk"], t[p + "attn.bk"])
+        v = ag.linear(x, t[p + "attn.wv"], t[p + "attn.bv"])
+        ctx = ag.attention(q, k, v, attn_bias, nh, config.dropout_rate, rng, train_mode)
+        attn_out = ag.linear(ctx, t[p + "attn.wo"], t[p + "attn.bo"])
         attn_out = ag.dropout(attn_out, config.dropout_rate, rng, train=train_mode)
         x = ag.layer_norm(ag.add(x, attn_out), t[p + "attn.norm_gain"], t[p + "attn.norm_bias"])
-        ff = ag.add(
-            ag.matmul(ag.gelu(ag.add(ag.matmul(x, t[p + "ff.w_in"]), t[p + "ff.b_in"])), t[p + "ff.w_out"]),
-            t[p + "ff.b_out"],
-        )
+        ff = ag.gelu(ag.linear(x, t[p + "ff.w_in"], t[p + "ff.b_in"]))
+        ff = ag.linear(ff, t[p + "ff.w_out"], t[p + "ff.b_out"])
         ff = ag.dropout(ff, config.dropout_rate, rng, train=train_mode)
         x = ag.layer_norm(ag.add(x, ff), t[p + "ff.norm_gain"], t[p + "ff.norm_bias"])
     return x

@@ -224,3 +224,93 @@ def test_gradcheck_broadcast_add_mul():
     w = rand(4, 5)
     check_op(lambda t, u: ag.tsum(ag.mul(ag.add(t, u), w)), [x, b], wrt=1)
     check_op(lambda t, u: ag.tsum(ag.mul(ag.mul(t, u), w)), [x, b], wrt=1)
+
+
+# -- fused ops ------------------------------------------------------------------
+
+
+def test_gradcheck_linear_all_inputs():
+    x, w, b = rand(2, 3, 4), rand(4, 5), rand(5)
+    weights = rand(2, 3, 5)
+    for wrt in range(3):
+        check_op(lambda t, ww, bb: ag.tsum(ag.mul(ag.linear(t, ww, bb), weights)), [x, w, b], wrt=wrt)
+
+
+def attention_inputs():
+    """q, k, v [2, 4, 6] for 2 heads, an output weighting, and a bias masking one key of row 1."""
+    q, k, v = rand(2, 4, 6), rand(2, 4, 6), rand(2, 4, 6)
+    bias = np.zeros((2, 1, 1, 4))
+    bias[1, ..., 3] = ag.MASK_FILL
+    return q, k, v, bias, rand(2, 4, 6)
+
+
+def test_gradcheck_attention_with_dropout_and_masked_key():
+    q, k, v, bias, weights = attention_inputs()
+
+    def build(qq, kk, vv):
+        out = ag.attention(qq, kk, vv, bias, 2, 0.1, np.random.default_rng(3), True)
+        return ag.tsum(ag.mul(out, weights))
+
+    for wrt in range(3):
+        check_op(build, [q, k, v], wrt=wrt)
+
+
+def _values_and_grads(fn, arrays, weights):
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*tensors)
+    ag.tsum(ag.mul(out, weights)).backward()
+    return out.data, [t.grad for t in tensors]
+
+
+def test_linear_shape_error_names_both_shapes():
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\).*\(6, 5\)"):
+        ag.linear(Tensor(rand(2, 3, 4)), Tensor(rand(6, 5)), Tensor(rand(5)))
+
+
+def test_linear_matches_matmul_then_add():
+    x, w, b = rand(2, 3, 4), rand(4, 5), rand(5)
+    weights = rand(2, 3, 5)
+    fused = _values_and_grads(ag.linear, [x, w, b], weights)
+    composed = _values_and_grads(lambda t, ww, bb: ag.add(ag.matmul(t, ww), bb), [x, w, b], weights)
+    np.testing.assert_allclose(fused[0], composed[0], rtol=0, atol=1e-12)
+    for got, want in zip(fused[1], composed[1]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def attention_by_composition(q, k, v, bias, heads, rate, rng, train):
+    """The per-op chain :func:`ag.attention` replaces, dropout draw included."""
+    b, length, h = q.shape
+    dh = h // heads
+
+    def heads_view(y):
+        return ag.transpose(ag.reshape(y, (b, length, heads, dh)), (0, 2, 1, 3))
+
+    qh, kh, vh = heads_view(q), heads_view(k), heads_view(v)
+    scores = ag.add(ag.mul(ag.matmul(qh, ag.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dh)), bias)
+    probs = ag.dropout(ag.softmax_rows(scores, axis=-1), rate, rng, train=train)
+    return ag.reshape(ag.transpose(ag.matmul(probs, vh), (0, 2, 1, 3)), (b, length, h))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_attention_matches_composition_under_the_same_seed(rate):
+    q, k, v, bias, weights = attention_inputs()
+    rngs = np.random.default_rng(9), np.random.default_rng(9)
+    fused = _values_and_grads(lambda *t: ag.attention(*t, bias, 2, rate, rngs[0], True), [q, k, v], weights)
+    composed = _values_and_grads(
+        lambda *t: attention_by_composition(*t, bias, 2, rate, rngs[1], True), [q, k, v], weights
+    )
+    np.testing.assert_allclose(fused[0], composed[0], rtol=0, atol=1e-12)
+    for got, want in zip(fused[1], composed[1]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the mask took the same draws, so both generators are at the same state
+    assert rngs[0].random() == rngs[1].random()
+
+
+def test_attention_draws_nothing_when_dropout_is_off():
+    q, k, v, bias, _ = attention_inputs()
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    off = ag.attention(q, k, v, bias, 2, 0.5, rng, False).data
+    zero_rate = ag.attention(q, k, v, bias, 2, 0.0, rng, True).data
+    assert rng.bit_generator.state == before
+    np.testing.assert_array_equal(off, zero_rate)
