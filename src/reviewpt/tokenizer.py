@@ -13,6 +13,7 @@ so checkpoints stay stable across vocabulary rebuilds.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIALS = (PAD, UNK, CLS, SEP, MASK)
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 CONT = "##"
+_WORD = re.compile(r"\S+")
 
 
 @dataclass
@@ -81,23 +83,18 @@ class PackedInput:
 
 def _lower(text: str) -> str:
     # length-preserving lowercase so char offsets stay valid
+    if text.isascii():
+        return text.lower()
     return "".join(c.lower() if len(c.lower()) == 1 else c for c in text)
 
 
 def _words_with_spans(text: str):
-    """Whitespace words of ``text`` with their (start, end) char spans."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        out.append((text[i:j], i, j))
-        i = j
-    return out
+    """Whitespace words of ``text`` with their (start, end) char spans.
+
+    Words split where ``str.isspace`` is true: the regex whitespace class
+    matches exactly those code points.
+    """
+    return [(m.group(), m.start(), m.end()) for m in _WORD.finditer(text)]
 
 
 def build_vocab(corpus, target_size: int) -> Vocabulary:
@@ -144,9 +141,11 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
     tokens = list(base)
     known = set(tokens)
     while len(tokens) < target_size and pair_counts:
-        (a, b), freq = max(pair_counts.items(), key=lambda kv: (kv[1], kv[0]))
+        freq = max(pair_counts.values())
         if freq < 2:
             break
+        # the most frequent pair; ties go to the largest pair
+        a, b = max(pair for pair, count in pair_counts.items() if count == freq)
         new = merged_surface(a, b)
         touched = list(pair_words.get((a, b), ()))
         for w in touched:

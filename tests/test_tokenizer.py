@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +80,12 @@ def test_vocab_thousand_sentences_exact_target_size():
     assert len(set(v.tokens)) == 2000
 
 
+def test_merge_ties_go_to_the_largest_pair():
+    # base is the 5 specials plus a, ##b, c, ##d: the next two entries are the two merges
+    assert build_vocab(["ab ab cd cd"], 11).tokens[9:] == ["cd", "ab"]
+    assert build_vocab(["ab ab ab cd cd"], 11).tokens[9:] == ["ab", "cd"]
+
+
 def test_vocab_too_small_target_errors():
     with pytest.raises(ValueError, match="target_size"):
         build_vocab(["abcdefgh ijklmnop"], 6)
@@ -120,6 +129,43 @@ def test_offsets_cover_every_nonspace_char(vocab):
             covered.add(i)
     expected = {i for i, c in enumerate(text) if not c.isspace()}
     assert covered == expected
+
+
+def test_regex_whitespace_is_str_isspace_on_every_code_point():
+    # word splitting uses the regex class; the offsets contract is stated with str.isspace
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    by_regex = [m.start() for m in re.finditer(r"\s", text)]
+    assert by_regex == [i for i, c in enumerate(text) if c.isspace()]
+
+
+def words_and_lower_by_loop(text):
+    """The per-character loops ``_words_with_spans`` and ``_lower`` replaced."""
+    lowered = "".join(c.lower() if len(c.lower()) == 1 else c for c in text)
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        out.append((text[i:j], i, j))
+        i = j
+    return out, lowered
+
+
+@given(st.one_of(st.text(max_size=40), st.text(alphabet=st.characters(codec="ascii"), max_size=40)))
+def test_words_and_lower_match_the_character_loops(text):
+    assert (tok._words_with_spans(text), tok._lower(text)) == words_and_lower_by_loop(text)
+
+
+def test_words_and_lowercase_keep_offsets_outside_ascii():
+    # U+0130 lowercases to two characters, so it is kept as is; U+00A0 and U+3000 are whitespace
+    text = "Caf\u00e9\u00a0\u0130stanbul\u3000OK"
+    lowered = tok._lower(text)
+    assert lowered == "caf\u00e9\u00a0\u0130stanbul\u3000ok"
+    assert tok._words_with_spans(lowered) == [("caf\u00e9", 0, 4), ("\u0130stanbul", 5, 13), ("ok", 14, 16)]
 
 
 def test_offset_fidelity(vocab):
