@@ -22,6 +22,16 @@ def test_restore_round_trips_every_blob(ckpt):
         assert np.array_equal(restored[name].data, tensor.data)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_save_load_save_is_byte_identical(tmp_path, dtype):
+    config = preset_config("tiny", vocab_size=20, max_positions=16)
+    save_checkpoint(tmp_path / "a.ckpt", init_parameters(config, seed=5, dtype=dtype), DIGEST, 3, 5)
+    loaded = load_checkpoint(tmp_path / "a.ckpt", expect_vocab_digest=DIGEST)
+    assert all(blob.dtype == dtype for blob in loaded.blobs.values())
+    save_checkpoint(tmp_path / "b.ckpt", loaded.restore(), loaded.vocab_digest, loaded.step, loaded.seed)
+    assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
+
 def test_restore_rejects_missing_blob(ckpt):
     loaded, _ = ckpt
     del loaded.blobs["cls.w"]
