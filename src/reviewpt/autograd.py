@@ -114,35 +114,6 @@ class Tensor:
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
-
 
 def as_tensor(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
@@ -198,19 +169,6 @@ def add(a, b) -> Tensor:
             _accumulate(a, _unbroadcast(g, a.shape).astype(a.dtype, copy=False))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape).astype(b.dtype, copy=False))
-
-    return _make(data, (a, b), bw)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    data = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape).astype(a.dtype, copy=False))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape).astype(b.dtype, copy=False))
 
     return _make(data, (a, b), bw)
 
@@ -395,12 +353,6 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
             _accumulate(x, np.broadcast_to(ge, x.shape).astype(x.dtype, copy=False))
 
     return _make(data, (x,), bw)
-
-
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    count = x.size if axis is None else x.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 # -- neural-net primitives ---------------------------------------------------

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor
 from .data import POLARITIES, gold_chunks, word_starts
 from .tokenizer import PackedInput
 
@@ -26,14 +25,10 @@ class SpanPrediction:
     score: float
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
 def decode_span(l1, l2, packed: PackedInput) -> SpanPrediction:
     """Greedy start-then-end decoding constrained to the document side."""
-    l1 = _as_array(l1)
-    l2 = _as_array(l2)
+    l1 = np.asarray(l1)
+    l2 = np.asarray(l2)
     lo, hi = packed.doc_start, packed.end_index  # valid positions are [lo, hi)
     if hi <= lo:
         raise ValueError("empty document")
@@ -55,11 +50,11 @@ def decode_bio(l3, packed: PackedInput) -> list[tuple[int, int]]:
     :func:`reviewpt.data.word_starts`); the labels are chunked by
     :func:`reviewpt.data.gold_chunks`.
     """
-    l3 = _as_array(l3)
+    l3 = np.asarray(l3)
     return gold_chunks(["BIO"[int(np.argmax(l3[pos]))] for pos in word_starts(packed)])
 
 
 def predict_polarity(l4) -> str:
     """Argmax polarity; exact ties resolve in fixed label order."""
-    l4 = _as_array(l4)
+    l4 = np.asarray(l4)
     return POLARITIES[int(np.argmax(l4))]

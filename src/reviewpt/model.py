@@ -157,7 +157,11 @@ def encode_batch(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the encoder over an id batch; returns hidden states [B, L, H]."""
+    """Run the encoder over an id batch; returns hidden states [B, L, H].
+
+    In ``train_mode`` with dropout on, every mask is drawn from ``rng``, which
+    must be given.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     segments = np.asarray(segments, dtype=np.int64)
     b, length = ids.shape
@@ -166,7 +170,7 @@ def encode_batch(
     if ids.max() >= config.vocab_size:
         raise ValueError(f"token id {ids.max()} out of range for vocab_size {config.vocab_size}")
     if train_mode and config.dropout_rate > 0 and rng is None:
-        rng = np.random.default_rng(0)
+        raise ValueError("training with dropout needs an rng")
 
     t = params.tensors
     dtype = t["tok_emb"].dtype

@@ -17,6 +17,20 @@ Both loops share one path per training concern: ``_start`` checks the
 vocabulary digest and restores ``init`` or builds fresh parameters,
 ``_backward`` rejects a non-finite loss before back-propagating it, and
 ``_update`` clips the global gradient norm and applies one Adam step.
+
+Every random draw in training is a pure function of its position, so no
+generator or stream cursor lives across steps or batches:
+
+- post-train step ``s`` takes ``order[((s - 1) * bpk + j) % n]`` for
+  ``j < bpk`` from each stream, where each stream's ``order`` permutation
+  comes from ``[seed, 17]`` alone;
+- sub-batch ``i`` of post-train step ``s`` draws its dropout from
+  ``default_rng([seed, 29, s, i])``;
+- fine-tune epoch ``e`` is shuffled by ``default_rng([seed, 101, e])``, and
+  its batch ``k`` draws dropout from ``default_rng([seed, 211, e, k])``.
+
+So a run's state between steps is its parameters, its Adam moments and ``t``,
+and the step number.
 """
 
 from __future__ import annotations
@@ -241,14 +255,15 @@ def posttrain_step(
     dk_batch: list[DkExample],
     mrc_batch: list[MrcExample],
     u: int,
-    rng: np.random.Generator | None = None,
+    key: tuple[int, int] = (0, 0),
     clip_norm: float = 0.0,
 ) -> dict:
     """One accumulate-then-update step over paired DK/MRC batches.
 
-    Reports the loss terms, ``grad_norm`` (the global gradient norm before
-    clipping; None when ``clip_norm == 0``) and ``tokens`` (real tokens in
-    both batches).
+    ``key`` is the run's ``(seed, step)``; sub-batch ``i`` draws its dropout
+    from ``default_rng([seed, 29, step, i])``.  Reports the loss terms,
+    ``grad_norm`` (the global gradient norm before clipping; None when
+    ``clip_norm == 0``) and ``tokens`` (real tokens in both batches).
     """
     b = len(dk_batch)
     if len(mrc_batch) != b:
@@ -259,8 +274,10 @@ def posttrain_step(
     m_total = sum(len(ex.mlm_targets) for ex in dk_batch)
     sub = b // u
     inv_u = 1.0 / u
+    seed, step = key
     l_mlm = l_nsp = l_mrc = 0.0
     for i in range(u):
+        rng = np.random.default_rng([seed, 29, step, i])
         dk_i = dk_batch[i * sub : (i + 1) * sub]
         mrc_i = mrc_batch[i * sub : (i + 1) * sub]
         mlm_i, nsp_i = _dk_parts(params, dk_i, train_mode=True, rng=rng, mlm_denom=m_total or None)
@@ -294,7 +311,11 @@ def posttrain_run(
     init: Checkpoint | None = None,
 ) -> Checkpoint:
     """Run ``total_steps`` joint steps, cycling both streams; returns the
-    final checkpoint (also written to ``out_dir``)."""
+    final checkpoint (also written to ``out_dir``).
+
+    A run from ``init`` continues at step ``init.step + 1``, and both streams
+    continue where ``init.step`` steps left them.
+    """
     if not dk_examples or not mrc_examples:
         raise ValueError("both example streams must be nonempty")
     out_dir = Path(out_dir)
@@ -302,35 +323,22 @@ def posttrain_run(
     params, digest, start_step = _start(init, vocab, model_config, config.seed)
     adam = AdamState(params.tensors, learning_rate=config.learning_rate)
     order_rng = np.random.default_rng([config.seed, 17])
-    dk_order = list(order_rng.permutation(len(dk_examples)))
-    mrc_order = list(order_rng.permutation(len(mrc_examples)))
-    drop_rng = np.random.default_rng([config.seed, 29])
+    dk_order = order_rng.permutation(len(dk_examples))
+    mrc_order = order_rng.permutation(len(mrc_examples))
     bpk = config.batch_per_knowledge
-
-    def cycle(order, pool, cursor):
-        batch = []
-        while len(batch) < bpk:
-            if cursor >= len(order):
-                cursor = 0  # restart the stream from its beginning
-            batch.append(pool[order[cursor]])
-            cursor += 1
-        return batch, cursor
-
-    dk_cursor = mrc_cursor = 0
     log_path = out_dir / "posttrain_log.jsonl"
     final_step = start_step
     with open(log_path, "a", encoding="utf-8") as log:
         for step in range(start_step + 1, start_step + config.total_steps + 1):
             t0 = time.perf_counter()
-            dk_batch, dk_cursor = cycle(dk_order, dk_examples, dk_cursor)
-            mrc_batch, mrc_cursor = cycle(mrc_order, mrc_examples, mrc_cursor)
+            picks = np.arange((step - 1) * bpk, step * bpk)
             report = posttrain_step(
                 params,
                 adam,
-                dk_batch,
-                mrc_batch,
+                [dk_examples[i] for i in dk_order.take(picks, mode="wrap")],
+                [mrc_examples[i] for i in mrc_order.take(picks, mode="wrap")],
                 config.sub_batches,
-                rng=drop_rng,
+                key=(config.seed, step),
                 clip_norm=config.clip_norm,
             )
             final_step = step
@@ -417,24 +425,23 @@ def finetune(
     params, digest, _ = _start(init, vocab, model_config, config.seed)
     adam = AdamState(params.tensors, learning_rate=config.learning_rate)
     loss_fn = _TASK_LOSS[config.task]
-    order_rng = np.random.default_rng([config.seed, 101])
-    drop_rng = np.random.default_rng([config.seed, 211])
     best_metric = -1.0
     best_blobs = params.copy_data()
     best_epoch = 0
     history = []
     for epoch in range(1, config.max_epochs + 1):
-        order = order_rng.permutation(len(train))
+        order = np.random.default_rng([config.seed, 101, epoch]).permutation(len(train))
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, len(train), config.batch_size):
+            rng = np.random.default_rng([config.seed, 211, epoch, n_batches])
             batch = [train[i] for i in order[lo : lo + config.batch_size]]
             params.zero_grads()
             # ``loss`` holds this batch's graph until the next batch or the
             # return.  Freed before validation instead, the next call's
             # backward took more than twice as many page faults (small
             # preset, 64 tokens) and fine-tuning ran about 15% slower.
-            loss = loss_fn(params, batch, train_mode=True, rng=drop_rng)
+            loss = loss_fn(params, batch, train_mode=True, rng=rng)
             epoch_loss += _backward(loss)
             _update(params, adam, config.clip_norm)
             n_batches += 1

@@ -265,3 +265,10 @@ def test_dropout_changes_training_forward(setup):
     d = encode_packs(params, cfg, p, train_mode=False).data
     assert not np.allclose(a, b)
     assert np.array_equal(c, d)
+
+
+def test_training_dropout_without_rng_raises():
+    cfg = preset_config("tiny", vocab_size=len(VOCAB), dropout_rate=0.1)
+    params = init_parameters(cfg, seed=4)
+    with pytest.raises(ValueError, match="rng"):
+        encode_packs(params, cfg, make_packed(), train_mode=True)

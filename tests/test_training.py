@@ -141,6 +141,22 @@ def test_posttrain_reports_grad_norm_and_tokens(world, tmp_path):
         assert 0 < r["tokens"] <= 2 * config.batch_per_knowledge * MAX_LEN
 
 
+def test_resumed_run_logs_the_same_step_as_an_uninterrupted_one(world, tmp_path):
+    vocab, model_config, dk, mrc, _ = world
+    config = T.PostTrainConfig(total_steps=3, max_len=MAX_LEN, batch_per_knowledge=4, sub_batches=2, clip_norm=1.0)
+    T.posttrain_run(config, model_config, vocab, dk, mrc, tmp_path / "whole")
+    part = T.posttrain_run(replace(config, total_steps=2), model_config, vocab, dk, mrc, tmp_path / "part")
+    T.posttrain_run(replace(config, total_steps=1), model_config, vocab, dk, mrc, tmp_path / "resumed", init=part)
+
+    def last_record(run):
+        return json.loads((tmp_path / run / "posttrain_log.jsonl").read_text().splitlines()[-1])
+
+    whole, resumed = last_record("whole"), last_record("resumed")
+    assert whole["step"] == resumed["step"] == 3
+    for key in ("l_mlm", "l_nsp", "l_mrc", "grad_norm", "tokens"):
+        assert resumed[key] == whole[key], key
+
+
 def test_encode_runs_to_the_longest_real_length(world):
     _, model_config, _, mrc, _ = world
     packs = [ex.packed for ex in mrc[:4]]
