@@ -72,7 +72,6 @@ from .training import (
     mrc_loss,
     posttrain_run,
     posttrain_step,
-    run_multi_seed,
 )
 
 __version__ = "0.1.0"

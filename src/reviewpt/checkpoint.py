@@ -7,6 +7,12 @@ named blob per parameter: u32 name length, name, u8 dtype tag (0=float32,
 deterministic, so save -> load -> save is byte-identical.  A file cut off
 anywhere after the magic, or whose header or a blob name does not parse,
 fails to load with :class:`CheckpointError`.
+
+:meth:`Checkpoint.restore` checks the blob names, then every blob shape,
+against :func:`~reviewpt.model.parameter_layout` for the stored config, and
+raises :class:`CheckpointError` on any mismatch.  It wraps copies of the
+stored blobs, cast to the first blob's dtype, and draws no random numbers;
+the header's seed is kept as provenance only.
 """
 
 from __future__ import annotations
@@ -14,12 +20,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autograd import Tensor
-from .model import ModelConfig, ModelParameters
+from .model import ModelConfig, ModelParameters, parameter_layout
 
 MAGIC = b"PTCK"
 VERSION = 1
@@ -40,23 +46,24 @@ class Checkpoint:
     blobs: dict[str, np.ndarray]
 
     def restore(self) -> ModelParameters:
-        from .model import init_parameters
-
-        dtype = next(iter(self.blobs.values())).dtype if self.blobs else np.float32
-        params = init_parameters(self.config, seed=self.seed, dtype=dtype)
-        missing = sorted(set(params.tensors) - set(self.blobs))
-        extra = sorted(set(self.blobs) - set(params.tensors))
+        layout = parameter_layout(self.config)
+        missing = sorted(set(layout) - set(self.blobs))
+        extra = sorted(set(self.blobs) - set(layout))
         if missing or extra:
             raise CheckpointError(f"blob names do not match the model: missing {missing}, unexpected {extra}")
-        params.load_data(self.blobs)
-        return params
+        for name, (shape, _) in layout.items():
+            if self.blobs[name].shape != shape:
+                raise CheckpointError(f"blob {name} has shape {self.blobs[name].shape}, the model expects {shape}")
+        dtype = next(iter(self.blobs.values())).dtype
+        tensors = {name: Tensor(self.blobs[name].astype(dtype), requires_grad=True) for name in layout}
+        return ModelParameters(tensors, self.config)
 
 
 def save_checkpoint(path, params: ModelParameters, vocab_digest: bytes, step: int, seed: int) -> None:
     if len(vocab_digest) != 32:
         raise ValueError("vocab digest must be 32 bytes")
     header = json.dumps(
-        {"model": json.loads(params.config.to_json()), "seed": seed},
+        {"model": asdict(params.config), "seed": seed},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")

@@ -349,7 +349,7 @@ def encode_mrc(ex: MrcExample, vocab: Vocabulary, max_len: int) -> MrcExample | 
         s_tok, e_tok = align_answer(c_enc, ex.answer_char_span)
     except ValueError:
         return None
-    packed = pack_pair(vocab, q_enc, c_enc, max_len)
+    packed = pack_pair(q_enc, c_enc, max_len)
     kept = len(packed.doc_offsets)
     if e_tok >= kept:
         return None  # answer truncated away
@@ -420,7 +420,7 @@ def word_starts(packed: PackedInput) -> list[int]:
 def encode_bio(ex: BioExample, vocab: Vocabulary, max_len: int) -> BioExample:
     """Pack a sentence; labels sit on word-initial tokens, rest are ignored."""
     enc = encode(vocab, " ".join(ex.words))
-    packed = pack_single(vocab, enc, max_len)
+    packed = pack_single(enc, max_len)
     n = len(packed.ids)
     token_labels = np.zeros(n, dtype=np.int64)
     label_mask = np.zeros(n, dtype=bool)
@@ -489,5 +489,5 @@ def load_asc(path) -> list[AscExample]:
 
 
 def encode_asc(ex: AscExample, vocab: Vocabulary, max_len: int) -> AscExample:
-    packed = pack_pair(vocab, encode(vocab, ex.term), encode(vocab, ex.sentence), max_len)
+    packed = pack_pair(encode(vocab, ex.term), encode(vocab, ex.sentence), max_len)
     return replace(ex, packed=packed)

@@ -13,12 +13,20 @@ There is one layout: :func:`encode_batch` returns hidden states
 returns one row per example.  Training runs batches of many examples and
 inference runs batches of one through the same heads.  Heads never mutate
 parameters.
+
+:func:`parameter_layout` is the one list of parameter names and shapes:
+an ordered ``{name: (shape, init)}`` map, ``init`` being ``"normal"``
+(N(0, 0.02)), ``"zeros"`` or ``"ones"``.  :func:`init_parameters` fills it
+in that order from one seeded generator, and
+:meth:`~reviewpt.checkpoint.Checkpoint.restore` checks stored blobs against
+it.  Segments are 0 (question/aspect side) and 1 (document side), so the
+segment table has two rows, and masked-token prediction has its own
+``mlm.proj`` table.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +42,13 @@ class ModelConfig:
     feedforward_size: int
     vocab_size: int
     max_positions: int = 320
-    num_segments: int = 2
     dropout_rate: float = 0.1
-    tie_mlm: bool = False
 
     def __post_init__(self):
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 # Desk-scale presets; "base" mirrors the full-size setting but is not
@@ -76,9 +79,6 @@ class ModelParameters:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def items(self):
         return self.tensors.items()
 
@@ -86,66 +86,70 @@ class ModelParameters:
         for t in self.tensors.values():
             t.zero_grad()
 
-    def mlm_table(self) -> Tensor:
-        return self.tensors["tok_emb"] if self.config.tie_mlm else self.tensors["mlm.proj"]
-
     def copy_data(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
-    def load_data(self, blobs: dict[str, np.ndarray]) -> None:
-        for name, arr in blobs.items():
-            t = self.tensors[name]
-            if t.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {t.data.shape} vs {arr.shape}")
-            t.data = arr.astype(t.data.dtype, copy=True)
+
+def parameter_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every parameter's name -> (shape, init), in creation order."""
+    h, f, v = config.hidden_size, config.feedforward_size, config.vocab_size
+    layout = {
+        "tok_emb": ((v, h), "normal"),
+        "pos_emb": ((config.max_positions, h), "normal"),
+        "seg_emb": ((2, h), "normal"),
+    }
+    for i in range(config.num_layers):
+        p = f"layer{i}."
+        layout.update(
+            {
+                p + "attn.wq": ((h, h), "normal"),
+                p + "attn.wk": ((h, h), "normal"),
+                p + "attn.wv": ((h, h), "normal"),
+                p + "attn.wo": ((h, h), "normal"),
+                p + "attn.bq": ((h,), "zeros"),
+                p + "attn.bk": ((h,), "zeros"),
+                p + "attn.bv": ((h,), "zeros"),
+                p + "attn.bo": ((h,), "zeros"),
+                p + "attn.norm_gain": ((h,), "ones"),
+                p + "attn.norm_bias": ((h,), "zeros"),
+                p + "ff.w_in": ((h, f), "normal"),
+                p + "ff.b_in": ((f,), "zeros"),
+                p + "ff.w_out": ((f, h), "normal"),
+                p + "ff.b_out": ((h,), "zeros"),
+                p + "ff.norm_gain": ((h,), "ones"),
+                p + "ff.norm_bias": ((h,), "zeros"),
+            }
+        )
+    layout.update(
+        {
+            "mlm.proj": ((v, h), "normal"),
+            "mlm.bias": ((v,), "zeros"),
+            "pair.w": ((2, h), "normal"),
+            "pair.b": ((2,), "zeros"),
+            "span.w1": ((1, h), "normal"),
+            "span.b1": ((1,), "zeros"),
+            "span.w2": ((1, h), "normal"),
+            "span.b2": ((1,), "zeros"),
+            "tag.w": ((3, h), "normal"),
+            "tag.b": ((3,), "zeros"),
+            "cls.w": ((3, h), "normal"),
+            "cls.b": ((3,), "zeros"),
+        }
+    )
+    return layout
 
 
 def init_parameters(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParameters:
     """Fresh parameters: normal(0, 0.02) weights, zero biases, unit norm gains."""
     rng = np.random.default_rng(seed)
-    h, f, v = config.hidden_size, config.feedforward_size, config.vocab_size
-
-    def w(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape).astype(dtype), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    t: dict[str, Tensor] = {}
-    t["tok_emb"] = w(v, h)
-    t["pos_emb"] = w(config.max_positions, h)
-    t["seg_emb"] = w(config.num_segments, h)
-    for i in range(config.num_layers):
-        p = f"layer{i}."
-        for name in ("wq", "wk", "wv", "wo"):
-            t[p + "attn." + name] = w(h, h)
-        for name in ("bq", "bk", "bv", "bo"):
-            t[p + "attn." + name] = zeros(h)
-        t[p + "attn.norm_gain"] = ones(h)
-        t[p + "attn.norm_bias"] = zeros(h)
-        t[p + "ff.w_in"] = w(h, f)
-        t[p + "ff.b_in"] = zeros(f)
-        t[p + "ff.w_out"] = w(f, h)
-        t[p + "ff.b_out"] = zeros(h)
-        t[p + "ff.norm_gain"] = ones(h)
-        t[p + "ff.norm_bias"] = zeros(h)
-    if not config.tie_mlm:
-        t["mlm.proj"] = w(v, h)
-    t["mlm.bias"] = zeros(v)
-    t["pair.w"] = w(2, h)
-    t["pair.b"] = zeros(2)
-    t["span.w1"] = w(1, h)
-    t["span.b1"] = zeros(1)
-    t["span.w2"] = w(1, h)
-    t["span.b2"] = zeros(1)
-    t["tag.w"] = w(3, h)
-    t["tag.b"] = zeros(3)
-    t["cls.w"] = w(3, h)
-    t["cls.b"] = zeros(3)
-    return ModelParameters(t, config)
+    tensors: dict[str, Tensor] = {}
+    for name, (shape, init) in parameter_layout(config).items():
+        if init == "normal":
+            data = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+        else:
+            data = (np.zeros if init == "zeros" else np.ones)(shape, dtype=dtype)
+        tensors[name] = Tensor(data, requires_grad=True)
+    return ModelParameters(tensors, config)
 
 
 def encode_batch(
@@ -260,5 +264,5 @@ def mlm_probs_flat(params: ModelParameters, hidden: Tensor, flat_positions: np.n
     """MLM distributions for positions indexed into the flattened [B*L] batch."""
     b, length, h = hidden.shape
     rows = ag.take(ag.reshape(hidden, (b * length, h)), np.asarray(flat_positions, dtype=np.int64))
-    logits = ag.add(ag.matmul(rows, ag.transpose(params.mlm_table(), (1, 0))), params.tensors["mlm.bias"])
+    logits = ag.add(ag.matmul(rows, ag.transpose(params.tensors["mlm.proj"], (1, 0))), params.tensors["mlm.bias"])
     return ag.softmax_rows(logits, axis=-1)

@@ -2,7 +2,9 @@
 
 Operates on any ordered ``{name: Tensor}`` mapping; moment buffers are keyed
 by name and shape-matched to their parameters.  Gradients are read, never
-modified -- the caller decides when to zero them.
+modified -- the caller decides when to zero them.  The moment decay rates
+and the denominator's epsilon are the module constants ``BETA1``, ``BETA2``
+and ``EPSILON``.
 """
 
 from __future__ import annotations
@@ -11,22 +13,16 @@ import numpy as np
 
 from .autograd import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class AdamState:
     """Per-parameter first/second moment buffers plus the step counter."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        learning_rate: float = 3e-5,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float = 3e-5):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -35,22 +31,21 @@ class AdamState:
 def adam_step(state: AdamState, params: dict[str, Tensor]) -> None:
     """One bias-corrected Adam update, in place; grads are left untouched."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for name, p in params.items():
         g = p.grad
         if g is None:
             continue
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)
+        p.data -= state.learning_rate * mhat / (np.sqrt(vhat) + EPSILON)
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:

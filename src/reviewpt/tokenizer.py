@@ -265,7 +265,7 @@ def pack_ids(left_ids, right_ids, max_len: int) -> PackedInput:
     )
 
 
-def pack_pair(vocab: Vocabulary, left: Encoding, right: Encoding, max_len: int) -> PackedInput:
+def pack_pair(left: Encoding, right: Encoding, max_len: int) -> PackedInput:
     """Pack a (question/aspect, document) pair; only the right side truncates."""
     packed = pack_ids(left.ids, right.ids, max_len)
     kept = packed.end_index - packed.doc_start
@@ -275,7 +275,7 @@ def pack_pair(vocab: Vocabulary, left: Encoding, right: Encoding, max_len: int) 
     return packed
 
 
-def pack_single(vocab: Vocabulary, enc: Encoding, max_len: int) -> PackedInput:
+def pack_single(enc: Encoding, max_len: int) -> PackedInput:
     """Pack a single sentence as [CLS] x [SEP] (sequence-labeling mode)."""
     if max_len < 3:
         raise ValueError("max_len too small")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +452,6 @@ def finetune(
             best_metric = metric
             best_blobs = params.copy_data()
             best_epoch = epoch
-    params.load_data(best_blobs)
     ckpt = Checkpoint(
         config=model_config,
         seed=config.seed,
@@ -466,31 +465,4 @@ def finetune(
         "best_epoch": best_epoch,
         "best_" + report.primary_metric: best_metric,
         "epochs": history,
-    }
-
-
-def run_multi_seed(
-    config: FineTuneConfig,
-    model_config: ModelConfig,
-    vocab: Vocabulary,
-    train,
-    valid,
-    seeds,
-    init: Checkpoint | None = None,
-) -> dict:
-    """Fine-tune once per seed and report mean/stdev of the major metric."""
-    values = []
-    metric = ""
-    for seed in seeds:
-        cfg = replace(config, seed=int(seed))
-        _, report = finetune(cfg, model_config, vocab, train, valid, init=init)
-        metric = report["metric"]
-        values.append(report["best_" + metric])
-    arr = np.array(values, dtype=np.float64)
-    return {
-        "metric": metric,
-        "seeds": [int(s) for s in seeds],
-        "values": values,
-        "mean": float(arr.mean()),
-        "stdev": float(arr.std(ddof=1)) if len(values) > 1 else 0.0,
     }

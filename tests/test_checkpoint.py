@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reviewpt import model as M
 from reviewpt.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from reviewpt.model import init_parameters, preset_config
 
@@ -47,6 +48,34 @@ def test_restore_rejects_extra_blob(ckpt):
     loaded.blobs["cls.extra"] = np.zeros(3, dtype=np.float32)
     with pytest.raises(CheckpointError, match="cls.extra"):
         loaded.restore()
+
+
+def test_restore_rejects_shapes_that_do_not_match_the_config(ckpt, tmp_path):
+    blob = (tmp_path / "a.ckpt").read_bytes()
+    assert blob.count(b'"hidden_size":64') == 1
+    (tmp_path / "wide.ckpt").write_bytes(blob.replace(b'"hidden_size":64', b'"hidden_size":84'))
+    wide = load_checkpoint(tmp_path / "wide.ckpt")
+    with pytest.raises(CheckpointError, match="tok_emb"):
+        wide.restore()
+    loaded, _ = ckpt
+    loaded.blobs["pair.w"] = loaded.blobs["pair.w"].reshape(-1, 2)
+    with pytest.raises(CheckpointError, match="pair.w"):
+        loaded.restore()
+
+
+def test_restore_draws_no_random_numbers_and_copies_the_blobs(ckpt, monkeypatch):
+    loaded, params = ckpt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("restore must not build random weights")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(M, "init_parameters", refuse)
+    restored = loaded.restore()
+    assert list(restored.tensors) == list(params.tensors)
+    for name, tensor in restored.items():
+        assert tensor.requires_grad
+        assert not np.shares_memory(tensor.data, loaded.blobs[name])
 
 
 def _cut_at(blob: bytes, where: str) -> int:

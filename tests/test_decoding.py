@@ -8,7 +8,7 @@ VOCAB = Vocabulary(list(SPECIALS) + ["what", "is", "the", "battery", "life", "gr
 
 
 def make_packed(question="what is", doc="the battery life is great", max_len=16):
-    return pack_pair(VOCAB, encode(VOCAB, question), encode(VOCAB, doc), max_len)
+    return pack_pair(encode(VOCAB, question), encode(VOCAB, doc), max_len)
 
 
 def peaked(n, idx, value=0.9):
@@ -122,7 +122,7 @@ def test_decode_bio_word_map_from_packed_subwords():
     from reviewpt.tokenizer import pack_single
 
     enc = encode(vocab, "battery works")
-    p = pack_single(vocab, enc, 8)
+    p = pack_single(enc, 8)
     l3 = np.zeros((8, 3))
     l3[:, 2] = 1.0
     l3[1] = [1.0, 0.0, 0.0]  # B on first piece of "battery"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ VOCAB = Vocabulary(list(SPECIALS) + ["aa", "bb", "cc", "dd", "ee", "ff", "gg"])
 
 
 def make_packed(left="aa bb", right="cc dd ee ff", max_len=16):
-    return pack_pair(VOCAB, encode(VOCAB, left), encode(VOCAB, right), max_len)
+    return pack_pair(encode(VOCAB, left), encode(VOCAB, right), max_len)
 
 
 def encode_packs(params, config, *packs, **kwargs):
@@ -37,7 +39,30 @@ def test_config_presets_match_documented_sizes():
     assert M.PRESETS["base"] == dict(num_layers=12, hidden_size=768, num_heads=12, feedforward_size=3072)
     assert M.PRESETS["tiny"]["hidden_size"] == 64
     cfg = preset_config("small", vocab_size=100)
-    assert cfg.max_positions >= 320 and cfg.num_segments == 2
+    assert cfg.max_positions >= 320
+
+
+def test_init_parameters_follows_the_layout():
+    config = preset_config("tiny", vocab_size=len(VOCAB), max_positions=32)
+    layout = M.parameter_layout(config)
+    params = init_parameters(config, seed=0)
+    assert [(name, t.shape) for name, t in params.items()] == [(name, shape) for name, (shape, _) in layout.items()]
+    for name, (_, init) in layout.items():
+        data = params[name].data
+        if init == "normal":
+            assert 0.01 < data.std() < 0.03, name
+        else:
+            assert np.all(data == (0.0 if init == "zeros" else 1.0)), name
+
+
+@pytest.mark.parametrize("preset, prefix", [("tiny", "6e0837dcb5573a6e"), ("small", "b17adb4f84a3e85c")])
+def test_initial_draws_are_pinned(preset, prefix):
+    params = init_parameters(preset_config(preset, vocab_size=400, max_positions=320), seed=0)
+    h = hashlib.sha256()
+    for name, t in params.items():
+        h.update(name.encode("utf-8"))
+        h.update(t.data.tobytes())
+    assert h.hexdigest()[:16] == prefix
 
 
 def test_config_rejects_indivisible_heads():
@@ -175,15 +200,6 @@ def test_mlm_logits_rows_and_empty(setup):
     np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
     empty = M.mlm_probs_flat(params, hidden, [])
     assert empty.shape == (0, config.vocab_size)
-
-
-def test_tied_mlm_uses_token_table():
-    config = preset_config("tiny", vocab_size=len(VOCAB), dropout_rate=0.0, tie_mlm=True)
-    params = init_parameters(config, seed=2)
-    assert "mlm.proj" not in params
-    hidden = encode_packs(params, config, make_packed())
-    probs = M.mlm_probs_flat(params, hidden, [5])
-    assert probs.shape == (1, config.vocab_size)
 
 
 def test_gradient_reaches_token_embeddings_from_every_head(setup):

@@ -209,7 +209,7 @@ def test_pack_pair_layout():
     left = encode(v, "aa bb")
     right = encode(v, "cc dd ee")
     assert len(left.ids) == 2 and len(right.ids) == 3
-    p = pack_pair(v, left, right, 10)
+    p = pack_pair(left, right, 10)
     assert len(p.ids) == 10
     assert p.ids[0] == CLS_ID
     assert p.sep_index == 3
@@ -224,7 +224,7 @@ def test_pack_pair_layout():
 def test_pack_pair_truncates_right_keeps_final_sep(vocab):
     left = encode(vocab, "battery")
     right = encode(vocab, " ".join(["great"] * 50))
-    p = pack_pair(vocab, left, right, 16)
+    p = pack_pair(left, right, 16)
     assert p.ids[p.end_index] == SEP_ID
     assert p.end_index == 15
     assert int((p.ids == SEP_ID).sum()) == 2
@@ -234,12 +234,12 @@ def test_pack_pair_left_too_long_errors(vocab):
     left = encode(vocab, " ".join(["great"] * 20))
     right = encode(vocab, "battery")
     with pytest.raises(ValueError, match="left too long"):
-        pack_pair(vocab, left, right, len(left.ids))
+        pack_pair(left, right, len(left.ids))
 
 
 def test_pack_single_one_sep(vocab):
     e = encode(vocab, "the screen is bright")
-    p = pack_single(vocab, e, 16)
+    p = pack_single(e, 16)
     assert p.ids[0] == CLS_ID
     assert int((p.ids == SEP_ID).sum()) == 1
     assert p.ids[p.end_index] == SEP_ID
@@ -252,7 +252,7 @@ def test_no_tokens_after_final_sep_property(vocab):
     for _ in range(25):
         l = encode(vocab, texts[rng.integers(len(texts))])
         r = encode(vocab, texts[rng.integers(len(texts))])
-        p = pack_pair(vocab, l, r, 24)
+        p = pack_pair(l, r, 24)
         assert p.ids[0] == CLS_ID
         after = p.ids[p.end_index + 1 :]
         assert np.all(after == PAD_ID)

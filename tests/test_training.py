@@ -247,7 +247,8 @@ def test_whole_model_directional_derivative_matches_central_difference(world):
 
     def loss_at(loss_fn, batch, step):
         params = init_parameters(config, seed=0, dtype=np.float64)
-        params.load_data({name: arr + step * direction[name] for name, arr in base.items()})
+        for name, t in params.items():
+            t.data = base[name] + step * direction[name]
         return params, loss_fn(params, batch, train_mode=True)
 
     for kind, (loss_fn, batch) in batches.items():
